@@ -96,7 +96,7 @@ Measurement Measure(PaperConfig config, int calls_per_request,
 }
 
 void Emit(PaperConfig config, int m, const Measurement& meas) {
-  bench::Json j;
+  obs::Json j;
   j.Add("config", PaperConfigName(config))
       .Add("m", m)
       .Add("requests", meas.r.requests)
@@ -216,7 +216,7 @@ void RunQuick(const std::string& scrape_dump_prefix) {
          "%llu samples\n",
          ov.r.avg_response_ms, ov.avg_ms_scraper_off, ov.overhead_pct,
          static_cast<unsigned long long>(ov.scrape_samples));
-  bench::Json j;
+  obs::Json j;
   j.Add("config", PaperConfigName(PaperConfig::kLoOptimistic))
       .Add("m", 1)
       .Add("requests", ov.r.requests)

@@ -73,7 +73,7 @@ void Run() {
     const Side sides[] = {{"LoOptimistic", lo[i], clo, &olo},
                           {"Pessimistic", pe[i], cpe, &ope}};
     for (const Side& s : sides) {
-      bench::Json j;
+      obs::Json j;
       j.Add("config", s.config)
           .Add("rate", rates[i].label)
           .Add("crash_every", rates[i].crash_every)

@@ -171,7 +171,7 @@ Result Measure(int clients, bool coalesce, int requests_per_client) {
 }
 
 void Emit(int clients, bool coalesce, const Result& r) {
-  bench::Json j;
+  obs::Json j;
   j.Add("clients", clients)
       .Add("coalesce", coalesce)
       .Add("requests", r.requests)

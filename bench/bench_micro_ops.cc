@@ -289,7 +289,7 @@ void RunQuickJson() {
     benchmark::DoNotOptimize(sink);
   }
 
-  bench::Json j;
+  obs::Json j;
   j.Add("payload_bytes", kPayloadBytes);
   j.Add("ops", kOps);
   j.Add("append_ns", append_ns);

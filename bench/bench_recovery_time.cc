@@ -80,7 +80,7 @@ Point Measure(uint64_t threshold, int requests, double time_scale) {
 }
 
 void EmitPoint(const char* label, const Point& p) {
-  bench::Json j;
+  obs::Json j;
   j.Add("threshold", label)
       .Add("scan_ms", p.scan_ms)
       .Add("total_ms", p.total_ms)
@@ -216,7 +216,7 @@ InstantPoint MeasureInstant(int sessions, int hot, int requests_per_session,
 }
 
 void EmitInstantPoint(const char* label, const InstantPoint& p) {
-  bench::Json j;
+  obs::Json j;
   j.Add("threshold", label)
       .Add("sessions", p.sessions)
       .Add("hot_sessions", p.hot)

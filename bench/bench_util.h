@@ -7,16 +7,17 @@
 //
 //   BENCH_JSON {"bench":"...", ...}
 //
-// (via Json + EmitJson below) so scripts — scripts/check_bench_json.py in
-// CTest, plotting notebooks, CI trend trackers — can scrape structured
-// numbers out of the human-readable report without parsing tables.
+// (built with obs::Json, the tree's one JSON writer, and printed by EmitJson
+// below) so scripts — scripts/check_bench_json.py in CTest, plotting
+// notebooks, CI trend trackers — can scrape structured numbers out of the
+// human-readable report without parsing tables.
 #pragma once
 
 #include <cstdio>
 #include <string>
 #include <vector>
 
-#include "obs/metrics.h"
+#include "obs/json.h"
 
 namespace msplog {
 namespace bench {
@@ -73,59 +74,11 @@ inline std::string Fmt(double v, int prec = 2) {
   return buf;
 }
 
-/// Minimal insertion-ordered JSON object builder. Values added with AddRaw
-/// must already be valid JSON (nested objects, arrays, numbers).
-class Json {
- public:
-  Json& Add(const std::string& key, const std::string& value) {
-    return AddRaw(key, "\"" + obs::JsonEscape(value) + "\"");
-  }
-  Json& Add(const std::string& key, const char* value) {
-    return Add(key, std::string(value));
-  }
-  Json& Add(const std::string& key, double value) {
-    char buf[64];
-    snprintf(buf, sizeof(buf), "%.6g", value);
-    return AddRaw(key, buf);
-  }
-  Json& Add(const std::string& key, uint64_t value) {
-    return AddRaw(key, std::to_string(value));
-  }
-  Json& Add(const std::string& key, int value) {
-    return AddRaw(key, std::to_string(value));
-  }
-  Json& Add(const std::string& key, bool value) {
-    return AddRaw(key, value ? "true" : "false");
-  }
-  /// Full quantile summary of a histogram snapshot.
-  Json& Add(const std::string& key, const obs::Histogram::Snapshot& s) {
-    return AddRaw(key, obs::SnapshotJson(s));
-  }
-  Json& AddRaw(const std::string& key, const std::string& json_value) {
-    fields_.push_back({key, json_value});
-    return *this;
-  }
-
-  std::string Str() const {
-    std::string out = "{";
-    for (size_t i = 0; i < fields_.size(); ++i) {
-      if (i) out += ",";
-      out += "\"" + obs::JsonEscape(fields_[i].first) +
-             "\":" + fields_[i].second;
-    }
-    out += "}";
-    return out;
-  }
-
- private:
-  std::vector<std::pair<std::string, std::string>> fields_;
-};
-
 /// Fold event-tracer ring health into a BENCH_JSON body: the drop count
 /// always, plus an explicit warning field (and a stderr note) when the ring
 /// overflowed — a dropped-event trace is silently truncated and should not
 /// be trusted as a complete causal record.
-inline void AddTracerHealth(Json* j, uint64_t dropped) {
+inline void AddTracerHealth(obs::Json* j, uint64_t dropped) {
   j->Add("tracer_dropped", dropped);
   if (dropped > 0) {
     j->Add("tracer_warning",
@@ -158,8 +111,8 @@ inline constexpr bool UnderSanitizer() {
 /// Print the canonical machine-readable line for bench `name`. Every blob
 /// carries `sanitized` so the compare_bench oracle can skip its wall-time
 /// tolerance bands on instrumented builds (exact counters still compare).
-inline void EmitJson(const std::string& name, const Json& body) {
-  Json wrapped;
+inline void EmitJson(const std::string& name, const obs::Json& body) {
+  obs::Json wrapped;
   wrapped.Add("bench", name);
   wrapped.Add("sanitized", UnderSanitizer());
   std::string inner = body.Str();

@@ -61,10 +61,19 @@ Checks enforced over src/ (stdlib only, no third-party deps):
                        precomputed EncodeTo span path) are banned there.
                        Naked new is already banned tree-wide. Reviewed
                        exceptions carry `audit:allow(hot-path-alloc)`.
+  json-by-hand         JSON documents are built only by the one writer,
+                       obs::Json / obs::JsonArray (src/obs/json.{h,cc}),
+                       which owns escaping and the single number format.
+                       Outside the writer's own files, a string literal
+                       that spells a JSON key by hand is a finding: an
+                       escaped `\"name\":` or printf-style `\"%s\":`, or a
+                       literal that opens with the `\":` closing a key
+                       built by concatenation.
 
 Exit status: 0 clean, 1 findings (one `file:line: [check] message` per line).
-Run with --self-test to prove the hot-path-alloc rule still fires on known-
-bad input (a broken rule would otherwise pass everything forever).
+Run with --self-test to prove the hot-path-alloc and json-by-hand rules
+still fire on known-bad input (a broken rule would otherwise pass
+everything forever).
 """
 
 import re
@@ -107,6 +116,12 @@ UNLOCK = re.compile(r"\b(\w+)\s*\.\s*unlock\s*\(")
 HOT_PATH_TAG = "lint:hot-path"
 STD_FUNCTION = re.compile(r"\bstd::function\s*<")
 ENCODE_BY_VALUE = re.compile(r"\.\s*Encode\s*\(\s*\)")
+
+# json-by-hand: matched against the raw line (string contents are blanked
+# by strip_comments_strings). `\"key\":` / `\"%s\":` inside a literal, or a
+# literal starting with `\":` (the tail of a concatenated key).
+JSON_KEY_BY_HAND = re.compile(r'\\"[\w.%-]*\\"\s*:|"\\":')
+JSON_WRITER_FILES = ("src/obs/json.h", "src/obs/json.cc")
 
 
 def strip_comments_strings(line, in_block):
@@ -216,6 +231,12 @@ def lint_source(rel, raw, findings):
             findings.append(
                 f"{rel}:{lineno}: [obs-layering] src/obs must not include "
                 "server-layer headers (obs is dependency-free)")
+
+        if rel not in JSON_WRITER_FILES and \
+                JSON_KEY_BY_HAND.search(raw_line):
+            findings.append(
+                f"{rel}:{lineno}: [json-by-hand] JSON key written by hand; "
+                "build the document with obs::Json (src/obs/json.h)")
 
         if rel != "src/msp/flush_aggregator.cc" and FLUSH_SEND.search(line):
             findings.append(
@@ -388,6 +409,26 @@ def self_test():
     if any("[hot-path-alloc]" in f for f in findings):
         sys.exit("lint_msplog: self-test FAILED: hot-path-alloc fired on an "
                  "untagged file:\n" + "\n".join(findings))
+    json_bad = [
+        'out += "{\\"id\\":\\"" + id + "\\"}";',              # finding 1
+        'snprintf(buf, n, "\\"%s\\":%llu,", key, v);',         # finding 2
+        'out += "\\"" + JsonEscape(name) + "\\":" + value;',   # finding 3
+        'j.Add("id", id).Add("n", n);  // the writer never fires',
+        '// {"count":N} in a comment never fires',
+    ]
+    findings = []
+    lint_source("src/fake/dump.cc", json_bad, findings)
+    hits = [f for f in findings if "[json-by-hand]" in f]
+    if len(hits) != 3:
+        sys.exit("lint_msplog: self-test FAILED: expected exactly 3 "
+                 "json-by-hand findings on the bad fixture, got %d:\n%s"
+                 % (len(hits), "\n".join(findings)))
+    findings = []
+    # The writer's own file may spell JSON syntax.
+    lint_source("src/obs/json.cc", json_bad, findings)
+    if any("[json-by-hand]" in f for f in findings):
+        sys.exit("lint_msplog: self-test FAILED: json-by-hand fired inside "
+                 "the writer:\n" + "\n".join(findings))
     print("lint_msplog: self-test OK")
     return 0
 

@@ -27,6 +27,17 @@ Status LogScanner::FillTo(uint64_t end) {
   return disk_->ReadAt(file_, chunk_base_, want, &chunk_);
 }
 
+bool LogScanner::ZeroPaddingBeforeBoundary() const {
+  const uint64_t gap = sector_bytes_ - pos_ % sector_bytes_;
+  if (gap >= 8) return false;
+  const uint64_t off = pos_ - chunk_base_;
+  if (off + gap > chunk_.size()) return false;
+  for (uint64_t i = 0; i < gap; ++i) {
+    if (chunk_[off + i] != 0) return false;
+  }
+  return true;
+}
+
 Status LogScanner::Next(LogRecord* out) {
   while (true) {
     if (pos_ + 8 > durable_size_) return Status::NotFound("end of log");
@@ -63,6 +74,10 @@ Status LogScanner::Next(LogRecord* out) {
           pos_ = (pos_ / sector_bytes_ + 1) * sector_bytes_;
           continue;
         }
+      }
+      if (st.IsCorruption() && ZeroPaddingBeforeBoundary()) {
+        pos_ = (pos_ / sector_bytes_ + 1) * sector_bytes_;
+        continue;
       }
       if (!st.ok()) {
         if (st.IsCorruption()) {

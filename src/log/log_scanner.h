@@ -3,6 +3,14 @@
 // 128-sector recovery reads are larger and therefore more efficient than the
 // small blocks written by individual flushes), skipping sector padding and
 // stopping cleanly at the durable end or at a corrupt tail.
+//
+// Padding is recognised in two shapes. A zero length prefix marks padding
+// outright. A flush that ends 1-3 bytes before a sector boundary leaves a
+// zero gap shorter than the 4-byte length field, so the length read runs
+// into the next sector's first frame and the frame fails to parse. A frame
+// that fails to parse less than one frame header (8 bytes) before a sector
+// boundary, with only zero bytes up to it, is therefore padding as well:
+// the scan skips to the boundary instead of reporting a corrupt tail.
 #pragma once
 
 #include <cstdint>
@@ -35,6 +43,9 @@ class LogScanner {
 
  private:
   Status FillTo(uint64_t end);
+  /// True when fewer than 8 bytes (one frame header) remain before the next
+  /// sector boundary and all of them are zero: padding, not a frame.
+  bool ZeroPaddingBeforeBoundary() const;
 
   SimDisk* disk_;
   std::string file_;

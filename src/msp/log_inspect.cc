@@ -6,7 +6,7 @@
 #include "log/log_scanner.h"
 #include "msp/msp_checkpoint_format.h"
 #include "msp/session.h"
-#include "obs/metrics.h"  // JsonEscape
+#include "obs/json.h"
 
 namespace msplog {
 
@@ -77,41 +77,29 @@ std::string LogInspectReport::Summary() const {
 }
 
 std::string LogInspectReport::ToJson() const {
-  std::string out = "{";
-  out += "\"records\":" + std::to_string(records);
-  out += ",\"first_lsn\":" + Lsn(first_lsn);
-  out += ",\"last_lsn\":" + Lsn(last_lsn);
-  out += ",\"image_bytes\":" + std::to_string(image_bytes);
-  out += ",\"by_type\":{";
-  bool first = true;
-  for (const auto& [type, n] : records_by_type) {
-    if (!first) out += ",";
-    first = false;
-    out += "\"" + obs::JsonEscape(type) + "\":" + std::to_string(n);
-  }
-  out += "},\"sessions\":" + std::to_string(records_by_session.size());
-  out += ",\"session_checkpoints\":" + std::to_string(session_checkpoints);
-  out += ",\"shared_var_checkpoints\":" +
-         std::to_string(shared_var_checkpoints);
-  out += ",\"msp_checkpoints\":" + std::to_string(msp_checkpoints);
-  out += ",\"newest_msp_checkpoint_min_lsn\":" +
-         Lsn(newest_msp_checkpoint_min_lsn);
-  out += ",\"archive_segments\":" + std::to_string(archive_segments);
-  out += ",\"torn_tail\":" + std::string(torn_tail ? "true" : "false");
-  out += ",\"torn_tail_lsn\":" + Lsn(torn_tail_lsn);
-  out += ",\"invariant_violations\":[";
-  first = true;
-  for (const auto& v : invariant_violations) {
-    if (!first) out += ",";
-    first = false;
-    out += "\"" + obs::JsonEscape(v) + "\"";
-  }
-  out += "]";
+  obs::Json by_type;
+  for (const auto& [type, n] : records_by_type) by_type.Add(type, n);
+  obs::JsonArray violations;
+  for (const auto& v : invariant_violations) violations.Push(v);
+  obs::Json out;
+  out.Add("records", records)
+      .Add("first_lsn", first_lsn)
+      .Add("last_lsn", last_lsn)
+      .Add("image_bytes", image_bytes)
+      .Add("by_type", by_type)
+      .Add("sessions", records_by_session.size())
+      .Add("session_checkpoints", session_checkpoints)
+      .Add("shared_var_checkpoints", shared_var_checkpoints)
+      .Add("msp_checkpoints", msp_checkpoints)
+      .Add("newest_msp_checkpoint_min_lsn", newest_msp_checkpoint_min_lsn)
+      .Add("archive_segments", archive_segments)
+      .Add("torn_tail", torn_tail)
+      .Add("torn_tail_lsn", torn_tail_lsn)
+      .Add("invariant_violations", violations);
   if (!session_stats.empty()) {
-    out += ",\"session_stats\":" + obs::SessionTelemetryJson(session_stats);
+    out.AddRaw("session_stats", obs::SessionTelemetryJson(session_stats));
   }
-  out += "}";
-  return out;
+  return out.Str();
 }
 
 Status InspectLogImage(SimDisk* disk, const std::string& file,

@@ -4,12 +4,12 @@
 #include <algorithm>
 #include <cassert>
 #include <chrono>
-#include <cstdio>
 #include <thread>
 
 #include "audit/invariants.h"
 #include "msp/exec_context.h"
 #include "msp/recovery_coordinator.h"
+#include "obs/json.h"
 
 namespace msplog {
 
@@ -197,10 +197,6 @@ void Msp::CrashLocked(bool is_crash) {
     // recovery-side join can tell this fault from earlier ones.
     const uint64_t gen = crash_generation_.fetch_add(1) + 1;
     gauge_crash_generation_->Set(static_cast<int64_t>(gen));
-    env_->flight_recorder().Record(
-        obs::FlightEventType::kCrash, config_.id, "", 0,
-        "epoch=" + std::to_string(epoch_.load()) +
-            " gen=" + std::to_string(gen));
     env_->flight_recorder().FreezeOnCrash(config_.id, gen);
     env_->scraper().AnnotateEpoch(
         env_->NowModelMs(),
@@ -446,8 +442,6 @@ void Msp::SessionWorker(std::shared_ptr<Session> s) {
       hist_queue_wait_ms_->Record(t_start - enqueue_ms);
       env_->tracer().Record(obs::TraceEventType::kDequeue, t_start, config_.id,
                             s->id, m.seqno, m.method, span);
-      env_->flight_recorder().Record(obs::FlightEventType::kRequest,
-                                     config_.id, s->id, m.seqno, m.method);
       ProcessRequest(s, m, span);
       hist_request_ms_->Record(env_->NowModelMs() - t_start);
       ctr_requests_->Add(1);
@@ -700,9 +694,6 @@ uint64_t Msp::AppendSessionRecord(Session* s, LogRecord rec) {
   s->dv.Set(config_.id, StateId{epoch_.load(), lsn});
   s->bytes_logged_since_cp += framed;
   s->stats.OnLogAppend(framed);
-  env_->flight_recorder().Record(
-      obs::FlightEventType::kDvUpdate, config_.id, s->id, rec.seqno,
-      "lsn=" + std::to_string(lsn) + " epoch=" + std::to_string(epoch_.load()));
   return lsn;
 }
 
@@ -1111,11 +1102,6 @@ Status Msp::DistributedFlush(const DependencyVector& dv,
   Status st = DistributedFlushImpl(dv, fspan);
   double t1 = env_->NowModelMs();
   hist_flush_wait_ms_->Record(t1 - t0);
-  env_->flight_recorder().Record(
-      obs::FlightEventType::kFlushLeg, config_.id,
-      stats_session ? stats_session->id : "", 0,
-      "dv_entries=" + std::to_string(dv.entry_count()) +
-          (st.ok() ? "" : " " + st.ToString()));
   if (stats_session) {
     stats_session->stats.OnForcedFlush();
     stats_session->stats.OnFlushStall(t1 - t0);
@@ -1659,11 +1645,11 @@ std::string Msp::DumpStatusz() const {
     case State::kRunning: state_name = "running"; break;
     case State::kCrashed: state_name = "crashed"; break;
   }
-  std::string out = "{";
-  out += "\"id\":\"" + obs::JsonEscape(config_.id) + "\",";
-  out += "\"state\":\"" + std::string(state_name) + "\",";
-  out += "\"epoch\":" + std::to_string(epoch_.load()) + ",";
-  out += "\"model_ms\":" + std::to_string(env_->NowModelMs()) + ",";
+  obs::Json out;
+  out.Add("id", config_.id)
+      .Add("state", state_name)
+      .Add("epoch", epoch_.load())
+      .Add("model_ms", env_->NowModelMs());
 
   // Session occupancy. Only queue/ownership flags are touched — those are
   // the fields sessions_mu_ actually guards, so this is safe while workers
@@ -1677,88 +1663,75 @@ std::string Msp::DumpStatusz() const {
       if (s->recovering) ++recovering;
       if (s->ended) ++ended;
     }
-    out += "\"sessions\":{\"count\":" + std::to_string(sessions_.size()) +
-           ",\"queued_requests\":" + std::to_string(queued) +
-           ",\"active_workers\":" + std::to_string(active) +
-           ",\"recovering\":" + std::to_string(recovering) +
-           ",\"ended\":" + std::to_string(ended) + "},";
+    out.Add("sessions", obs::Json()
+                            .Add("count", sessions_.size())
+                            .Add("queued_requests", queued)
+                            .Add("active_workers", active)
+                            .Add("recovering", recovering)
+                            .Add("ended", ended));
   }
 
   // Log extents (absent outside kLogBased or before Start). One Extents()
   // snapshot — the former end/durable/reclaimed triple-read could tear.
   if (log_) {
     const LogExtents x = log_->Extents();
-    out += "\"log\":{\"end_lsn\":" + std::to_string(x.end_lsn) +
-           ",\"durable_lsn\":" + std::to_string(x.durable_lsn) +
-           ",\"reclaimed_lsn\":" + std::to_string(x.reclaimed_lsn) +
-           ",\"archived_lsn\":" + std::to_string(x.archived_lsn) +
-           "},";
+    out.Add("log", obs::Json()
+                       .Add("end_lsn", x.end_lsn)
+                       .Add("durable_lsn", x.durable_lsn)
+                       .Add("reclaimed_lsn", x.reclaimed_lsn)
+                       .Add("archived_lsn", x.archived_lsn));
   }
 
   {
     audit::LockGuard lk(table_mu_);
-    out += "\"recovered_table_entries\":" +
-           std::to_string(recovered_table_.entries().size()) + ",";
+    out.Add("recovered_table_entries", recovered_table_.entries().size());
   }
   {
     audit::LockGuard lk(timeline_mu_);
     size_t n = recovery_history_.size() +
                (last_recovery_timeline_.epoch != 0 ? 1 : 0);
-    out += "\"recoveries\":" + std::to_string(n) + ",";
-    out += "\"last_outage_report\":" + last_outage_report_.ToJson() + ",";
+    out.Add("recoveries", n)
+        .AddRaw("last_outage_report", last_outage_report_.ToJson());
   }
-  out += "\"crash_generation\":" + std::to_string(crash_generation_.load()) +
-         ",";
+  out.Add("crash_generation", crash_generation_.load());
   {
     // "Uptime since last recovery": model ms since the last Start()
     // finished; 0 while down or before the first start.
     double up = last_start_end_ms_.load(std::memory_order_relaxed);
-    double uptime = (up > 0 && state_.load() == State::kRunning)
-                        ? env_->NowModelMs() - up
-                        : 0.0;
-    char buf[48];
-    std::snprintf(buf, sizeof(buf), "%.3f", uptime);
-    out += "\"uptime_since_recovery_ms\":" + std::string(buf) + ",";
+    out.Add("uptime_since_recovery_ms",
+            (up > 0 && state_.load() == State::kRunning)
+                ? env_->NowModelMs() - up
+                : 0.0);
   }
-  out += "\"requests\":" + std::to_string(ctr_requests_->Value()) + ",";
+  out.Add("requests", ctr_requests_->Value());
 
   // Distributed-flush group commit (shared registry: sums over every MSP in
   // this environment; in-flight/pending legs are this MSP's own).
   {
     obs::MetricsRegistry& m = env_->metrics();
-    out += "\"flush\":{";
-    out += "\"legs_requested\":" +
-           std::to_string(m.GetCounter("flush.legs_requested")->Value()) + ",";
-    out += "\"legs_coalesced\":" +
-           std::to_string(m.GetCounter("flush.legs_coalesced")->Value()) + ",";
-    out += "\"messages_saved\":" +
-           std::to_string(m.GetCounter("flush.messages_saved")->Value()) + ",";
-    out += "\"watermark_skips\":" +
-           std::to_string(m.GetCounter("flush.watermark_skips")->Value()) + ",";
-    out += "\"requests_sent\":" +
-           std::to_string(m.GetCounter("flush.requests_sent")->Value()) + ",";
-    out += "\"peer_flushes_saved\":" +
-           std::to_string(m.GetCounter("flush.peer_flushes_saved")->Value()) +
-           ",";
-    out += "\"in_flight\":" + std::to_string(flush_agg_->InFlightForTest()) +
-           ",";
-    out += "\"pending_legs\":" +
-           std::to_string(flush_agg_->WaiterCountForTest()) + ",";
-    out += "\"flight_batch\":" +
-           obs::SnapshotJson(m.GetHistogram("flush.flight_batch")->Snap());
-    out += "},";
+    obs::Json flush;
+    for (const char* name :
+         {"legs_requested", "legs_coalesced", "messages_saved",
+          "watermark_skips", "requests_sent", "peer_flushes_saved"}) {
+      flush.Add(name, m.GetCounter(std::string("flush.") + name)->Value());
+    }
+    flush.Add("in_flight", flush_agg_->InFlightForTest())
+        .Add("pending_legs", flush_agg_->WaiterCountForTest())
+        .Add("flight_batch", m.GetHistogram("flush.flight_batch")->Snap());
+    out.Add("flush", flush);
   }
   // Per-session telemetry (obs/session_stats.h), id-sorted.
-  out += "\"telemetry\":" + obs::SessionTelemetryJson(SessionTelemetry()) + ",";
+  out.AddRaw("telemetry", obs::SessionTelemetryJson(SessionTelemetry()));
 
-  out += "\"histograms\":{";
-  out += "\"queue_wait_ms\":" + obs::SnapshotJson(hist_queue_wait_ms_->Snap());
-  out += ",\"execute_ms\":" + obs::SnapshotJson(hist_execute_ms_->Snap());
-  out += ",\"flush_wait_ms\":" + obs::SnapshotJson(hist_flush_wait_ms_->Snap());
-  out += ",\"request_ms\":" + obs::SnapshotJson(hist_request_ms_->Snap());
-  out += ",\"replay_ms\":" + obs::SnapshotJson(hist_replay_ms_->Snap());
-  out += "}}";
-  return out;
+  const std::pair<const char*, const obs::Histogram*> hists[] = {
+      {"queue_wait_ms", hist_queue_wait_ms_},
+      {"execute_ms", hist_execute_ms_},
+      {"flush_wait_ms", hist_flush_wait_ms_},
+      {"request_ms", hist_request_ms_},
+      {"replay_ms", hist_replay_ms_}};
+  obs::Json histograms;
+  for (const auto& [name, h] : hists) histograms.Add(name, h->Snap());
+  return out.Add("histograms", histograms).Str();
 }
 
 }  // namespace msplog

@@ -114,22 +114,8 @@ class Msp {
 
   // ---- explicit checkpoint triggers (also driven by the daemon) ----
   /// Force a checkpoint of `target` now: the whole MSP (fuzzy, §3.4), one
-  /// session, or one shared variable. The typed target replaces the former
-  /// ForceMspCheckpoint / ForceSessionCheckpoint / ForceSharedVarCheckpoint
-  /// triple.
+  /// session, or one shared variable.
   Status ForceCheckpoint(const CheckpointTarget& target);
-
-  /// Deprecated: thin wrappers over ForceCheckpoint(CheckpointTarget); use
-  /// the typed entry point in new code.
-  Status ForceMspCheckpoint() {
-    return ForceCheckpoint(CheckpointTarget::Msp());
-  }
-  Status ForceSessionCheckpoint(const std::string& session_id) {
-    return ForceCheckpoint(CheckpointTarget::Session(session_id));
-  }
-  Status ForceSharedVarCheckpoint(const std::string& name) {
-    return ForceCheckpoint(CheckpointTarget::SharedVar(name));
-  }
 
   // ---- crash-injection & instrumentation hooks ----
   /// Invoked after each successfully processed request (not during replay).
@@ -182,12 +168,6 @@ class Msp {
   /// not count). Monotonic across restarts — generation stamps the flight
   /// recorder bundles.
   uint64_t crash_generation() const { return crash_generation_.load(); }
-
-  /// Per-session provenance of the most recent recovery: which checkpoints
-  /// rebuilt each session and which (epoch, seqno, LSN) log records its
-  /// replay consumed. Lazy orphan recoveries update their session's entry.
-  std::vector<obs::RecoveryTimeline::SessionProvenance> RecoveryProvenance()
-      const;
 
   /// Per-session telemetry snapshots (obs/session_stats.h), id-sorted.
   /// Relaxed-atomic reads; safe from any thread while workers run.

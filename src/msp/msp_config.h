@@ -53,7 +53,8 @@ struct MspConfig {
   uint32_t shared_var_checkpoint_threshold_writes = 256;
   /// Take an MSP fuzzy checkpoint whenever the log has grown by this much
   /// since the previous one (evaluated by the checkpoint daemon). 0 = only
-  /// on demand (ForceMspCheckpoint) and at recovery end.
+  /// on demand (ForceCheckpoint(CheckpointTarget::Msp())) and at recovery
+  /// end.
   uint64_t msp_checkpoint_log_bytes = 1 << 20;
   /// Force a session / shared-variable checkpoint if this many MSP
   /// checkpoints passed since its last one (§3.4, idle-session rule).

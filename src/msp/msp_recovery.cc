@@ -32,12 +32,6 @@ std::vector<obs::RecoveryTimeline> Msp::RecentRecoveryTimelines(
   return out;
 }
 
-std::vector<obs::RecoveryTimeline::SessionProvenance> Msp::RecoveryProvenance()
-    const {
-  audit::LockGuard lk(timeline_mu_);
-  return last_recovery_timeline_.provenance;
-}
-
 obs::OutageReport Msp::LastOutageReport() const {
   audit::LockGuard lk(timeline_mu_);
   return last_outage_report_;

@@ -1,23 +1,12 @@
 #include "msp/postmortem.h"
 
-#include <cstdio>
 #include <map>
 
 #include "log/log_record.h"
 #include "log/log_scanner.h"
-#include "obs/metrics.h"  // JsonEscape
+#include "obs/json.h"
 
 namespace msplog {
-
-namespace {
-
-std::string FmtMs(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.6f", v);
-  return buf;
-}
-
-}  // namespace
 
 const PostmortemSessionFate* PostmortemReport::Find(
     const std::string& session_id) const {
@@ -31,8 +20,8 @@ std::string PostmortemReport::Summary() const {
   std::string out;
   out += "post-mortem for " + actor + " (crash generation " +
          std::to_string(generation) + ")\n";
-  out += "  crash at model " + FmtMs(crash_model_ms) + " ms, log durable to " +
-         std::to_string(durable_at_crash) + " of " +
+  out += "  crash at model " + std::to_string(crash_model_ms) +
+         " ms, log durable to " + std::to_string(durable_at_crash) + " of " +
          std::to_string(image_bytes) + " bytes, " +
          std::to_string(records_scanned) + " records scanned\n";
   for (const auto& f : sessions) {
@@ -46,26 +35,24 @@ std::string PostmortemReport::Summary() const {
 }
 
 std::string PostmortemReport::ToJson() const {
-  std::string out = "{";
-  out += "\"actor\":\"" + obs::JsonEscape(actor) + "\",";
-  out += "\"generation\":" + std::to_string(generation) + ",";
-  out += "\"crash_model_ms\":" + FmtMs(crash_model_ms) + ",";
-  out += "\"durable_at_crash\":" + std::to_string(durable_at_crash) + ",";
-  out += "\"records_scanned\":" + std::to_string(records_scanned) + ",";
-  out += "\"image_bytes\":" + std::to_string(image_bytes) + ",";
-  out += "\"sessions\":[";
-  for (size_t i = 0; i < sessions.size(); ++i) {
-    const auto& f = sessions[i];
-    if (i) out += ",";
-    out += "{\"session\":\"" + obs::JsonEscape(f.session_id) + "\",";
-    out += "\"fate\":\"" + f.fate + "\",";
-    out += "\"first_lsn\":" + std::to_string(f.first_lsn) + ",";
-    out += "\"requests_logged\":" + std::to_string(f.requests_logged) + ",";
-    out += "\"eos_cuts_after_crash\":" +
-           std::to_string(f.eos_cuts_after_crash) + "}";
+  obs::JsonArray fates;
+  for (const auto& f : sessions) {
+    fates.Push(obs::Json()
+                   .Add("session", f.session_id)
+                   .Add("fate", f.fate)
+                   .Add("first_lsn", f.first_lsn)
+                   .Add("requests_logged", f.requests_logged)
+                   .Add("eos_cuts_after_crash", f.eos_cuts_after_crash));
   }
-  out += "]}";
-  return out;
+  return obs::Json()
+      .Add("actor", actor)
+      .Add("generation", generation)
+      .Add("crash_model_ms", crash_model_ms)
+      .Add("durable_at_crash", durable_at_crash)
+      .Add("records_scanned", records_scanned)
+      .Add("image_bytes", image_bytes)
+      .Add("sessions", fates)
+      .Str();
 }
 
 Status DerivePostmortem(SimDisk* disk, const std::string& file,

@@ -24,8 +24,7 @@ std::string PosFileName(const std::string& msp, const std::string& session) {
 
 Status RecoveryCoordinator::RunAnalysis() {
   Msp* m = msp_;
-  started_ms_ = m->env_->NowModelMs();
-  const double t0 = started_ms_;
+  const double t0 = m->env_->NowModelMs();
   m->env_->tracer().Record(obs::TraceEventType::kRecoveryStart, t0,
                            m->config_.id);
   const std::string log_file = m->config_.id + ".log";
@@ -323,12 +322,6 @@ Status RecoveryCoordinator::PrepareOpen() {
     audit::LockGuard lk(m->timeline_mu_);
     m->last_recovery_timeline_.post_scan_checkpoint_ms = end_ms - cp_t0;
   }
-  m->env_->flight_recorder().Record(
-      obs::FlightEventType::kRecovery, m->config_.id, /*session=*/"",
-      /*seqno=*/0,
-      "epoch=" + std::to_string(m->epoch_.load()) +
-          " sessions=" + std::to_string(sessions_to_recover_) +
-          " scan_ms=" + std::to_string(end_ms - started_ms_));
   m->env_->tracer().Record(obs::TraceEventType::kRecoveryEnd, end_ms,
                            m->config_.id, /*session=*/"", /*seqno=*/0,
                            "sessions=" + std::to_string(sessions_to_recover_));

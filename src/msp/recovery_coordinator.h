@@ -65,7 +65,6 @@ class RecoveryCoordinator {
   void DrainStep();
 
   Msp* msp_;
-  double started_ms_ = 0;      ///< model time RunAnalysis began
   uint32_t old_epoch_ = 0;     ///< epoch of the failure-free period that ended
   uint64_t msp_cp_lsn_ = 0;    ///< anchor's MSP checkpoint at boot
   uint64_t sessions_to_recover_ = 0;

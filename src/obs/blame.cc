@@ -2,9 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
 #include <map>
+
+#include "obs/json.h"
 
 namespace msplog {
 namespace obs {
@@ -180,39 +181,28 @@ TailBlameReport AttributeTailQuantile(const std::vector<TraceEvent>& events,
   return AttributeTailLatency(events, durations[idx]);
 }
 
-namespace {
-
-void AppendF(std::string* out, const char* key, double v, bool comma = true) {
-  char buf[96];
-  std::snprintf(buf, sizeof(buf), "\"%s\":%.4f%s", key, v, comma ? "," : "");
-  *out += buf;
-}
-
-}  // namespace
-
 std::string TailBlameReport::ToJson() const {
-  std::string out = "{";
-  AppendF(&out, "threshold_ms", threshold_ms);
-  out += "\"traces_total\":" + std::to_string(traces_total) + ",";
-  out += "\"traces_slow\":" + std::to_string(traces_slow) + ",";
-  out += "\"traces_incomplete\":" + std::to_string(traces_incomplete) + ",";
-  AppendF(&out, "total_ms", total_ms);
-  out += "\"buckets\":{";
-  AppendF(&out, "queue_wait_ms", queue_wait_ms);
-  AppendF(&out, "exec_ms", exec_ms);
-  AppendF(&out, "local_flush_ms", local_flush_ms);
-  AppendF(&out, "remote_flush_ms", remote_flush_ms);
-  AppendF(&out, "net_resend_ms", net_resend_ms);
-  AppendF(&out, "other_ms", other_ms, /*comma=*/false);
-  out += "},\"shares\":{";
-  AppendF(&out, "queue_wait", Share(queue_wait_ms));
-  AppendF(&out, "exec", Share(exec_ms));
-  AppendF(&out, "local_flush", Share(local_flush_ms));
-  AppendF(&out, "remote_flush", Share(remote_flush_ms));
-  AppendF(&out, "net_resend", Share(net_resend_ms));
-  AppendF(&out, "other", Share(other_ms), /*comma=*/false);
-  out += "}}";
-  return out;
+  return Json()
+      .Add("threshold_ms", threshold_ms)
+      .Add("traces_total", traces_total)
+      .Add("traces_slow", traces_slow)
+      .Add("traces_incomplete", traces_incomplete)
+      .Add("total_ms", total_ms)
+      .Add("buckets", Json()
+                          .Add("queue_wait_ms", queue_wait_ms)
+                          .Add("exec_ms", exec_ms)
+                          .Add("local_flush_ms", local_flush_ms)
+                          .Add("remote_flush_ms", remote_flush_ms)
+                          .Add("net_resend_ms", net_resend_ms)
+                          .Add("other_ms", other_ms))
+      .Add("shares", Json()
+                         .Add("queue_wait", Share(queue_wait_ms))
+                         .Add("exec", Share(exec_ms))
+                         .Add("local_flush", Share(local_flush_ms))
+                         .Add("remote_flush", Share(remote_flush_ms))
+                         .Add("net_resend", Share(net_resend_ms))
+                         .Add("other", Share(other_ms)))
+      .Str();
 }
 
 }  // namespace obs

@@ -1,9 +1,8 @@
 #include "obs/flight_recorder.h"
 
 #include <algorithm>
-#include <cstdio>
 
-#include "obs/metrics.h"  // JsonEscape
+#include "obs/json.h"
 
 namespace msplog {
 namespace obs {
@@ -14,89 +13,43 @@ namespace {
 /// another invariant while being captured must not freeze recursively.
 thread_local bool tls_in_violation_freeze = false;
 
-std::string FmtMs(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.6f", v);
-  return buf;
-}
-
 }  // namespace
 
-const char* FlightEventTypeName(FlightEventType t) {
-  switch (t) {
-    case FlightEventType::kRequest: return "Request";
-    case FlightEventType::kFlushLeg: return "FlushLeg";
-    case FlightEventType::kDvUpdate: return "DvUpdate";
-    case FlightEventType::kInvariant: return "Invariant";
-    case FlightEventType::kCrash: return "Crash";
-    case FlightEventType::kRecovery: return "Recovery";
-    case FlightEventType::kNote: return "Note";
-  }
-  return "?";
-}
-
 std::string FlightBundle::ToJson() const {
-  std::string out = "{";
-  out += "\"frozen\":" + std::string(frozen ? "true" : "false") + ",";
-  out += "\"generation\":" + std::to_string(generation) + ",";
-  out += "\"actor\":\"" + JsonEscape(actor) + "\",";
-  out += "\"trigger\":\"" + JsonEscape(trigger) + "\",";
-  out += "\"detail\":\"" + JsonEscape(detail) + "\",";
-  out += "\"held_locks\":\"" + JsonEscape(held_locks) + "\",";
-  out += "\"frozen_at_ms\":" + FmtMs(frozen_at_ms) + ",";
-  out += "\"events_dropped\":" + std::to_string(events_dropped) + ",";
-  out += "\"events\":[";
-  for (size_t i = 0; i < events.size(); ++i) {
-    const FlightEvent& e = events[i];
-    if (i) out += ",";
-    out += "{\"type\":\"" + std::string(FlightEventTypeName(e.type)) +
-           "\",\"t_ms\":" + FmtMs(e.t_ms) +
-           ",\"seq\":" + std::to_string(e.seq) +
-           ",\"seqno\":" + std::to_string(e.seqno) + ",\"actor\":\"" +
-           JsonEscape(e.actor) + "\",\"session\":\"" + JsonEscape(e.session) +
-           "\",\"detail\":\"" + JsonEscape(e.detail) + "\"}";
-  }
-  out += "],";
-  out += "\"snapshots\":[";
-  for (size_t i = 0; i < snapshots.size(); ++i) {
-    const auto& [who, snap] = snapshots[i];
-    if (i) out += ",";
-    out += "{\"actor\":\"" + JsonEscape(who) + "\",";
-    out += "\"log_end_lsn\":" + std::to_string(snap.log_end_lsn) + ",";
-    out += "\"log_durable_lsn\":" + std::to_string(snap.log_durable_lsn) + ",";
-    out += "\"log_reclaimed_lsn\":" + std::to_string(snap.log_reclaimed_lsn) +
-           ",";
-    out += "\"log_archived_lsn\":" + std::to_string(snap.log_archived_lsn) +
-           ",";
-    out += "\"inflight_sessions\":[";
-    for (size_t j = 0; j < snap.inflight_sessions.size(); ++j) {
-      if (j) out += ",";
-      out += "\"" + JsonEscape(snap.inflight_sessions[j]) + "\"";
-    }
-    out += "],";
+  JsonArray snaps;
+  for (const auto& [who, snap] : snapshots) {
+    JsonArray inflight;
+    for (const std::string& id : snap.inflight_sessions) inflight.Push(id);
     // statusz is itself JSON — embed it raw so consumers get one tree.
-    out += "\"statusz\":" +
-           (snap.statusz_json.empty() ? std::string("null")
-                                      : snap.statusz_json);
-    out += "}";
+    snaps.Push(Json()
+                   .Add("actor", who)
+                   .Add("log_end_lsn", snap.log_end_lsn)
+                   .Add("log_durable_lsn", snap.log_durable_lsn)
+                   .Add("log_reclaimed_lsn", snap.log_reclaimed_lsn)
+                   .Add("log_archived_lsn", snap.log_archived_lsn)
+                   .Add("inflight_sessions", inflight)
+                   .AddRaw("statusz", snap.statusz_json.empty()
+                                          ? "null"
+                                          : snap.statusz_json));
   }
-  out += "],";
-  out += "\"tracer_tail\":" +
-         (tracer_tail_json.empty() ? std::string("[]") : tracer_tail_json);
-  out += "}";
-  return out;
+  return Json()
+      .Add("frozen", frozen)
+      .Add("generation", generation)
+      .Add("actor", actor)
+      .Add("trigger", trigger)
+      .Add("detail", detail)
+      .Add("held_locks", held_locks)
+      .Add("frozen_at_ms", frozen_at_ms)
+      .Add("snapshots", snaps)
+      .AddRaw("tracer_tail",
+              tracer_tail_json.empty() ? "[]" : tracer_tail_json)
+      .Str();
 }
 
-FlightRecorder::FlightRecorder(std::function<double()> now_ms)
-    : FlightRecorder(std::move(now_ms), Options()) {}
-
-FlightRecorder::FlightRecorder(std::function<double()> now_ms, Options options)
-    : now_ms_(std::move(now_ms)), options_(options) {
-  if (options_.ring_capacity == 0) options_.ring_capacity = 1;
-  if (options_.max_bundles == 0) options_.max_bundles = 1;
-  audit::LockGuard lk(mu_);
-  ring_.reserve(options_.ring_capacity);
-}
+FlightRecorder::FlightRecorder(std::function<double()> now_ms,
+                               size_t max_bundles)
+    : now_ms_(std::move(now_ms)),
+      max_bundles_(std::max<size_t>(1, max_bundles)) {}
 
 void FlightRecorder::set_tracer_tail_dump(std::function<std::string()> dump) {
   audit::LockGuard lk(mu_);
@@ -119,42 +72,20 @@ void FlightRecorder::ClearSnapshotProvider(const std::string& actor) {
   providers_.erase(actor);
 }
 
-void FlightRecorder::Record(FlightEventType type, const std::string& actor,
-                            const std::string& session, uint64_t seqno,
-                            const std::string& detail) {
-  FlightEvent e;
-  e.type = type;
-  e.t_ms = now_ms_();
-  e.seqno = seqno;
-  e.actor = actor;
-  e.session = session;
-  e.detail = detail;
-  audit::LockGuard lk(mu_);
-  e.seq = total_++;
-  if (ring_.size() < options_.ring_capacity) {
-    ring_.push_back(std::move(e));
-  } else {
-    ring_[next_] = std::move(e);
-    next_ = (next_ + 1) % options_.ring_capacity;
+FlightBundle FlightRecorder::Freeze(const std::string& actor,
+                                    uint64_t generation,
+                                    const std::string& trigger,
+                                    const std::string& detail) {
+  std::vector<std::pair<std::string, SnapshotProvider>> providers;
+  std::function<std::string()> tracer_dump, locks_dump;
+  {
+    audit::LockGuard lk(mu_);
+    for (const auto& [who, provider] : providers_) {
+      if (actor.empty() || who == actor) providers.emplace_back(who, provider);
+    }
+    tracer_dump = tracer_tail_dump_;
+    locks_dump = held_locks_dump_;
   }
-}
-
-std::vector<FlightEvent> FlightRecorder::RingEventsLocked() const {
-  mu_.AssertHeld();
-  std::vector<FlightEvent> out;
-  out.reserve(ring_.size());
-  size_t start = (total_ >= ring_.size() && !ring_.empty()) ? next_ : 0;
-  for (size_t i = 0; i < ring_.size(); ++i) {
-    out.push_back(ring_[(start + i) % ring_.size()]);
-  }
-  return out;
-}
-
-FlightBundle FlightRecorder::BuildBundleLocked(const std::string& actor,
-                                               uint64_t generation,
-                                               const std::string& trigger,
-                                               const std::string& detail) {
-  mu_.AssertHeld();
   FlightBundle b;
   b.frozen = true;
   b.generation = generation;
@@ -162,63 +93,31 @@ FlightBundle FlightRecorder::BuildBundleLocked(const std::string& actor,
   b.trigger = trigger;
   b.detail = detail;
   b.frozen_at_ms = now_ms_();
-  b.events = RingEventsLocked();
-  b.events_dropped = total_ - ring_.size();
+  // The dumps and providers run outside the recorder lock: they take
+  // server locks (statusz, session table) and must never nest under mu_.
+  if (tracer_dump) b.tracer_tail_json = tracer_dump();
+  if (locks_dump) b.held_locks = locks_dump();
+  for (auto& [who, provider] : providers) {
+    b.snapshots.emplace_back(who, provider());
+  }
+  audit::LockGuard lk(mu_);
+  bundles_.push_back(b);
+  ++frozen_total_;
+  while (bundles_.size() > max_bundles_) bundles_.pop_front();
   return b;
 }
 
 FlightBundle FlightRecorder::FreezeOnCrash(const std::string& actor,
                                            uint64_t generation,
                                            const std::string& detail) {
-  SnapshotProvider provider;
-  std::function<std::string()> tracer_dump, locks_dump;
-  FlightBundle b;
-  {
-    audit::LockGuard lk(mu_);
-    b = BuildBundleLocked(actor, generation, "crash", detail);
-    auto it = providers_.find(actor);
-    if (it != providers_.end()) provider = it->second;
-    tracer_dump = tracer_tail_dump_;
-    locks_dump = held_locks_dump_;
-  }
-  // Providers run outside the recorder lock: they take server locks
-  // (statusz, session table) and must never nest under mu_.
-  if (tracer_dump) b.tracer_tail_json = tracer_dump();
-  if (locks_dump) b.held_locks = locks_dump();
-  if (provider) b.snapshots.emplace_back(actor, provider());
-  audit::LockGuard lk(mu_);
-  bundles_.push_back(b);
-  ++frozen_total_;
-  while (bundles_.size() > options_.max_bundles) bundles_.pop_front();
-  return b;
+  return Freeze(actor, generation, "crash", detail);
 }
 
 void FlightRecorder::FreezeOnViolation(const std::string& invariant,
                                        const std::string& detail) {
   if (tls_in_violation_freeze) return;
   tls_in_violation_freeze = true;
-  Record(FlightEventType::kInvariant, invariant, "", 0, detail);
-  std::vector<std::pair<std::string, SnapshotProvider>> providers;
-  std::function<std::string()> tracer_dump, locks_dump;
-  FlightBundle b;
-  {
-    audit::LockGuard lk(mu_);
-    b = BuildBundleLocked("", 0, "invariant:" + invariant, detail);
-    providers.assign(providers_.begin(), providers_.end());
-    tracer_dump = tracer_tail_dump_;
-    locks_dump = held_locks_dump_;
-  }
-  if (tracer_dump) b.tracer_tail_json = tracer_dump();
-  if (locks_dump) b.held_locks = locks_dump();
-  for (auto& [who, provider] : providers) {
-    b.snapshots.emplace_back(who, provider());
-  }
-  {
-    audit::LockGuard lk(mu_);
-    bundles_.push_back(std::move(b));
-    ++frozen_total_;
-    while (bundles_.size() > options_.max_bundles) bundles_.pop_front();
-  }
+  Freeze(/*actor=*/"", /*generation=*/0, "invariant:" + invariant, detail);
   tls_in_violation_freeze = false;
 }
 
@@ -238,55 +137,6 @@ FlightBundle FlightRecorder::LatestBundleFor(const std::string& actor) const {
 uint64_t FlightRecorder::frozen_count() const {
   audit::LockGuard lk(mu_);
   return frozen_total_;
-}
-
-uint64_t FlightRecorder::recorded_total() const {
-  audit::LockGuard lk(mu_);
-  return total_;
-}
-
-uint64_t FlightRecorder::dropped() const {
-  audit::LockGuard lk(mu_);
-  return total_ - ring_.size();
-}
-
-std::vector<FlightEvent> FlightRecorder::RingEvents() const {
-  audit::LockGuard lk(mu_);
-  return RingEventsLocked();
-}
-
-std::string FlightRecorder::DumpJson() const {
-  std::vector<FlightBundle> bundles = Bundles();
-  std::vector<FlightEvent> ring;
-  uint64_t total, dropped_n;
-  {
-    audit::LockGuard lk(mu_);
-    ring = RingEventsLocked();
-    total = total_;
-    dropped_n = total_ - ring_.size();
-  }
-  std::string out = "{\"ring\":{\"capacity\":" +
-                    std::to_string(options_.ring_capacity) +
-                    ",\"recorded_total\":" + std::to_string(total) +
-                    ",\"dropped\":" + std::to_string(dropped_n) +
-                    ",\"events\":[";
-  for (size_t i = 0; i < ring.size(); ++i) {
-    const FlightEvent& e = ring[i];
-    if (i) out += ",";
-    out += "{\"type\":\"" + std::string(FlightEventTypeName(e.type)) +
-           "\",\"t_ms\":" + FmtMs(e.t_ms) +
-           ",\"seq\":" + std::to_string(e.seq) +
-           ",\"seqno\":" + std::to_string(e.seqno) + ",\"actor\":\"" +
-           JsonEscape(e.actor) + "\",\"session\":\"" + JsonEscape(e.session) +
-           "\",\"detail\":\"" + JsonEscape(e.detail) + "\"}";
-  }
-  out += "]},\"bundles\":[";
-  for (size_t i = 0; i < bundles.size(); ++i) {
-    if (i) out += ",";
-    out += bundles[i].ToJson();
-  }
-  out += "]}";
-  return out;
 }
 
 }  // namespace obs

@@ -1,22 +1,20 @@
 // FlightRecorder — the crash black box of the observatory.
 //
-// An always-on, fixed-capacity ring of the most recent "interesting moments"
-// on the request path (requests picked up, distributed-flush legs, DV/log
-// appends, invariant firings, crash/recovery transitions). The ring is owned
-// by SimEnvironment — like the scraper rings — so it survives Msp
-// crash/recovery cycles; recording is one short critical section with no
-// allocation beyond the strings the caller already built.
-//
 // At a simulated crash (Msp::Crash) or any audit invariant violation the
-// recorder *freezes* a generation-stamped snapshot bundle: a copy of the
-// ring plus, per registered server, a statusz JSON dump, the in-flight
-// session set, and the log tail extent (end/durable LSNs), plus the tail of
-// the environment's event tracer and a summary of the locks held by the
-// freezing thread. Bundles are bounded (oldest evicted) and immutable; the
-// live ring keeps recording. The recovery-side join (msp/msp_recovery.cc)
-// correlates the latest crash bundle with the replay to build the outage
-// report (obs/outage_report.h), and tools/msplog_postmortem re-derives the
-// same report offline from a dumped bundle plus the raw log image.
+// recorder *freezes* a generation-stamped snapshot bundle: per registered
+// server, a statusz JSON dump, the in-flight session set, and the log tail
+// extent (end/durable LSNs), plus the newest events of the environment's
+// EventTracer and a summary of the locks held by the freezing thread. The
+// recorder keeps no event ring of its own: the tracer (obs/trace.h) is the
+// environment's single always-on ring, and a bundle freezes its tail.
+// Bundles are bounded (oldest evicted) and immutable. The recovery-side
+// join (msp/recovery_coordinator.cc) correlates the latest crash bundle
+// with the replay to build the outage report (obs/outage_report.h), and
+// tools/msplog_postmortem re-derives the same report offline from a dumped
+// bundle plus the raw log image.
+//
+// The recorder is owned by SimEnvironment, like the scraper rings, so its
+// bundles survive Msp crash/recovery cycles.
 //
 // Layering: like every obs component this file depends only on audit/ and
 // injected callbacks — the environment passes its model clock, the tracer
@@ -35,28 +33,6 @@
 
 namespace msplog {
 namespace obs {
-
-enum class FlightEventType : uint8_t {
-  kRequest,    ///< a session worker picked up a request
-  kFlushLeg,   ///< a distributed-flush leg launched or settled
-  kDvUpdate,   ///< a log append moved a session DV / state number
-  kInvariant,  ///< an audit invariant violation fired
-  kCrash,      ///< a server crashed (simulated fault or injected)
-  kRecovery,   ///< crash recovery started / finished
-  kNote,       ///< free-form marker (tests, harness annotations)
-};
-
-const char* FlightEventTypeName(FlightEventType t);
-
-struct FlightEvent {
-  FlightEventType type = FlightEventType::kNote;
-  double t_ms = 0;       ///< model time at record
-  uint64_t seq = 0;      ///< global record order
-  uint64_t seqno = 0;    ///< request seqno (0 = not applicable)
-  std::string actor;     ///< server / component id
-  std::string session;   ///< session id ("" = not applicable)
-  std::string detail;    ///< free-form
-};
 
 /// Per-server context captured at freeze time by a registered provider.
 struct FlightSnapshot {
@@ -79,9 +55,7 @@ struct FlightBundle {
   std::string detail;
   std::string held_locks;   ///< locks held by the freezing thread
   double frozen_at_ms = 0;
-  std::vector<FlightEvent> events;  ///< ring copy, oldest first
-  uint64_t events_dropped = 0;      ///< ring overwrites before the freeze
-  std::string tracer_tail_json;     ///< tail of the environment tracer
+  std::string tracer_tail_json;  ///< newest events of the environment tracer
   /// (server id, snapshot) — the crashed server only on a crash freeze,
   /// every registered server on an invariant freeze.
   std::vector<std::pair<std::string, FlightSnapshot>> snapshots;
@@ -91,17 +65,11 @@ struct FlightBundle {
 
 class FlightRecorder {
  public:
-  struct Options {
-    size_t ring_capacity = 512;
-    size_t max_bundles = 4;  ///< frozen bundles retained (oldest evicted)
-  };
-
-  /// `now_ms` supplies event timestamps (the environment passes NowModelMs);
-  /// it must be callable until the recorder is destroyed. (Two overloads
-  /// rather than a default argument: a nested-class NSDMI default is
-  /// ill-formed in the enclosing class body.)
-  explicit FlightRecorder(std::function<double()> now_ms);
-  FlightRecorder(std::function<double()> now_ms, Options options);
+  /// `now_ms` stamps each bundle (the environment passes NowModelMs);
+  /// it must be callable until the recorder is destroyed. At most
+  /// `max_bundles` frozen bundles are retained (oldest evicted).
+  explicit FlightRecorder(std::function<double()> now_ms,
+                          size_t max_bundles = 4);
 
   // --- environment wiring (set once at construction time) -----------------
 
@@ -121,21 +89,14 @@ class FlightRecorder {
   void SetSnapshotProvider(const std::string& actor, SnapshotProvider p);
   void ClearSnapshotProvider(const std::string& actor);
 
-  // --- the hot path --------------------------------------------------------
-
-  /// O(1), one short critical section; overwrites the oldest slot once full.
-  void Record(FlightEventType type, const std::string& actor,
-              const std::string& session = "", uint64_t seqno = 0,
-              const std::string& detail = "");
-
   // --- freezing -------------------------------------------------------------
 
-  /// Freeze a bundle for a crashing server: ring copy + that server's
-  /// snapshot, stamped with its crash generation. Returns the bundle.
+  /// Freeze a bundle for a crashing server: that server's snapshot, stamped
+  /// with its crash generation. Returns the bundle.
   FlightBundle FreezeOnCrash(const std::string& actor, uint64_t generation,
                              const std::string& detail = "");
-  /// Freeze a bundle for an invariant violation: ring copy + a snapshot of
-  /// every registered server. Reentrancy-guarded per thread (a provider that
+  /// Freeze a bundle for an invariant violation: a snapshot of every
+  /// registered server. Reentrancy-guarded per thread (a provider that
   /// itself trips an invariant cannot recurse).
   void FreezeOnViolation(const std::string& invariant,
                          const std::string& detail);
@@ -147,26 +108,16 @@ class FlightRecorder {
   /// Most recent crash bundle whose actor is `actor`; frozen=false if none.
   FlightBundle LatestBundleFor(const std::string& actor) const;
   uint64_t frozen_count() const;
-  uint64_t recorded_total() const;
-  uint64_t dropped() const;
-  /// Live ring contents, oldest first (allocates; dump/test path only).
-  std::vector<FlightEvent> RingEvents() const;
-  /// {"ring":{...},"bundles":[...]} — full recorder state.
-  std::string DumpJson() const;
 
  private:
-  FlightBundle BuildBundleLocked(const std::string& actor, uint64_t generation,
-                                 const std::string& trigger,
-                                 const std::string& detail) REQUIRES(mu_);
-  std::vector<FlightEvent> RingEventsLocked() const REQUIRES(mu_);
+  /// Build and retain one bundle. `actor` empty = snapshot every provider.
+  FlightBundle Freeze(const std::string& actor, uint64_t generation,
+                      const std::string& trigger, const std::string& detail);
 
   std::function<double()> now_ms_;
-  Options options_;
+  const size_t max_bundles_;
 
   mutable audit::Mutex mu_{"obs.flight_recorder"};
-  std::vector<FlightEvent> ring_ GUARDED_BY(mu_);  ///< capacity preallocated
-  size_t next_ GUARDED_BY(mu_) = 0;    ///< overwrite cursor once full
-  uint64_t total_ GUARDED_BY(mu_) = 0; ///< events ever recorded
   std::deque<FlightBundle> bundles_ GUARDED_BY(mu_);
   uint64_t frozen_total_ GUARDED_BY(mu_) = 0;
   std::map<std::string, SnapshotProvider> providers_ GUARDED_BY(mu_);

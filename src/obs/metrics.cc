@@ -4,7 +4,6 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
-#include <cstdio>
 
 namespace msplog {
 namespace obs {
@@ -132,14 +131,15 @@ Histogram::Snapshot Histogram::Snapshot::Delta(const Snapshot& before) const {
   return d;
 }
 
-std::string SnapshotJson(const Histogram::Snapshot& s) {
-  char buf[256];
-  snprintf(buf, sizeof(buf),
-           "{\"count\":%llu,\"mean\":%.6g,\"p50\":%.6g,\"p90\":%.6g,"
-           "\"p99\":%.6g,\"max\":%.6g,\"min\":%.6g}",
-           static_cast<unsigned long long>(s.count), s.Mean(), s.P50(),
-           s.P90(), s.P99(), s.max, s.count ? s.min : 0.0);
-  return buf;
+void AppendJsonValue(std::string* out, const Histogram::Snapshot& s) {
+  AppendJsonValue(out, Json()
+                           .Add("count", s.count)
+                           .Add("mean", s.Mean())
+                           .Add("p50", s.P50())
+                           .Add("p90", s.P90())
+                           .Add("p99", s.P99())
+                           .Add("max", s.max)
+                           .Add("min", s.count ? s.min : 0.0));
 }
 
 Counter* MetricsRegistry::GetCounter(const std::string& name) {
@@ -174,52 +174,15 @@ MetricsRegistry::RegistrySnapshot MetricsRegistry::Snap() const {
 
 std::string MetricsRegistry::ToJson() const {
   RegistrySnapshot s = Snap();
-  std::string out = "{\"counters\":{";
-  bool first = true;
-  for (const auto& [name, v] : s.counters) {
-    if (!first) out += ",";
-    first = false;
-    out += "\"" + JsonEscape(name) + "\":" + std::to_string(v);
-  }
-  out += "},\"gauges\":{";
-  first = true;
-  for (const auto& [name, v] : s.gauges) {
-    if (!first) out += ",";
-    first = false;
-    out += "\"" + JsonEscape(name) + "\":" + std::to_string(v);
-  }
-  out += "},\"histograms\":{";
-  first = true;
-  for (const auto& [name, h] : s.histograms) {
-    if (!first) out += ",";
-    first = false;
-    out += "\"" + JsonEscape(name) + "\":" + SnapshotJson(h);
-  }
-  out += "}}";
-  return out;
-}
-
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
+  Json counters, gauges, histograms;
+  for (const auto& [name, v] : s.counters) counters.Add(name, v);
+  for (const auto& [name, v] : s.gauges) gauges.Add(name, v);
+  for (const auto& [name, h] : s.histograms) histograms.Add(name, h);
+  return Json()
+      .Add("counters", counters)
+      .Add("gauges", gauges)
+      .Add("histograms", histograms)
+      .Str();
 }
 
 }  // namespace obs

@@ -28,6 +28,7 @@
 #include <vector>
 
 #include "audit/mutex.h"
+#include "obs/json.h"  // JsonEscape, the JSON writer
 
 namespace msplog {
 namespace obs {
@@ -106,9 +107,10 @@ class Histogram {
   std::array<std::atomic<uint64_t>, kNumBuckets> buckets_{};
 };
 
-/// Format a snapshot as a JSON object:
-/// {"count":N,"mean":..,"p50":..,"p90":..,"p99":..,"max":..,"min":..}
-std::string SnapshotJson(const Histogram::Snapshot& s);
+/// A snapshot as a JSON object — {"count":N,"mean":..,"p50":..,"p90":..,
+/// "p99":..,"max":..,"min":..} — so Json::Add / JsonArray::Push take
+/// snapshots directly.
+void AppendJsonValue(std::string* out, const Histogram::Snapshot& s);
 
 /// Named registry. Get* interns the name on first use and returns a pointer
 /// that stays valid for the registry's lifetime; the fast path after interning
@@ -137,9 +139,6 @@ class MetricsRegistry {
   std::map<std::string, std::unique_ptr<Histogram>> histograms_
       GUARDED_BY(mu_);
 };
-
-/// JSON string escaping shared by the obs dump paths.
-std::string JsonEscape(const std::string& s);
 
 }  // namespace obs
 }  // namespace msplog

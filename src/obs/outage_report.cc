@@ -1,20 +1,13 @@
 #include "obs/outage_report.h"
 
 #include <algorithm>
-#include <cstdio>
 
-#include "obs/metrics.h"  // JsonEscape
+#include "obs/json.h"
 
 namespace msplog {
 namespace obs {
 
 namespace {
-
-std::string FmtMs(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.6f", v);
-  return buf;
-}
 
 double NearestRank(const std::vector<double>& sorted, double q) {
   if (sorted.empty()) return 0;
@@ -69,36 +62,33 @@ void OutageReport::Finalize() {
 }
 
 std::string OutageReport::ToJson() const {
-  std::string out = "{";
-  out += "\"valid\":" + std::string(valid ? "true" : "false") + ",";
-  out += "\"complete\":" + std::string(complete ? "true" : "false") + ",";
-  out += "\"generation\":" + std::to_string(generation) + ",";
-  out += "\"epoch\":" + std::to_string(epoch) + ",";
-  out += "\"crash_model_ms\":" + FmtMs(crash_model_ms) + ",";
-  out += "\"recovery_start_ms\":" + FmtMs(recovery_start_ms) + ",";
-  out += "\"recovery_end_ms\":" + FmtMs(recovery_end_ms) + ",";
-  out += "\"sessions\":[";
-  for (size_t i = 0; i < sessions.size(); ++i) {
-    const SessionFate& s = sessions[i];
-    if (i) out += ",";
-    out += "{\"session\":\"" + JsonEscape(s.session_id) + "\",";
-    out += "\"fate\":\"" + JsonEscape(s.fate) + "\",";
-    out += "\"was_in_flight\":" +
-           std::string(s.was_in_flight ? "true" : "false") + ",";
-    out += "\"servable_at_ms\":" + FmtMs(s.servable_at_ms) + ",";
-    out += "\"time_to_servable_ms\":" + FmtMs(s.time_to_servable_ms) + ",";
-    out += "\"requests_replayed\":" + std::to_string(s.requests_replayed);
-    out += "}";
+  JsonArray fates;
+  for (const SessionFate& s : sessions) {
+    fates.Push(Json()
+                   .Add("session", s.session_id)
+                   .Add("fate", s.fate)
+                   .Add("was_in_flight", s.was_in_flight)
+                   .Add("servable_at_ms", s.servable_at_ms)
+                   .Add("time_to_servable_ms", s.time_to_servable_ms)
+                   .Add("requests_replayed", s.requests_replayed));
   }
-  out += "],";
-  out += "\"mttr\":{\"count\":" + std::to_string(mttr.count) +
-         ",\"mean_ms\":" + FmtMs(mttr.mean_ms) +
-         ",\"p50_ms\":" + FmtMs(mttr.p50_ms) +
-         ",\"p90_ms\":" + FmtMs(mttr.p90_ms) +
-         ",\"p99_ms\":" + FmtMs(mttr.p99_ms) +
-         ",\"max_ms\":" + FmtMs(mttr.max_ms) + "}";
-  out += "}";
-  return out;
+  return Json()
+      .Add("valid", valid)
+      .Add("complete", complete)
+      .Add("generation", generation)
+      .Add("epoch", epoch)
+      .Add("crash_model_ms", crash_model_ms)
+      .Add("recovery_start_ms", recovery_start_ms)
+      .Add("recovery_end_ms", recovery_end_ms)
+      .Add("sessions", fates)
+      .Add("mttr", Json()
+                       .Add("count", mttr.count)
+                       .Add("mean_ms", mttr.mean_ms)
+                       .Add("p50_ms", mttr.p50_ms)
+                       .Add("p90_ms", mttr.p90_ms)
+                       .Add("p99_ms", mttr.p99_ms)
+                       .Add("max_ms", mttr.max_ms))
+      .Str();
 }
 
 }  // namespace obs

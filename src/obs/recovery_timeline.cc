@@ -1,72 +1,56 @@
 #include "obs/recovery_timeline.h"
 
-#include <cstdio>
-
-#include "obs/metrics.h"  // JsonEscape
+#include "obs/json.h"
 
 namespace msplog {
 namespace obs {
 
 std::string RecoveryTimeline::ToJson() const {
-  char buf[576];
-  snprintf(buf, sizeof(buf),
-           "{\"epoch\":%u,\"started_ms\":%.6g,\"analysis_scan_ms\":%.6g,"
-           "\"analysis_records_scanned\":%llu,\"analysis_bytes_scanned\":%llu,"
-           "\"post_scan_checkpoint_ms\":%.6g,\"open_for_traffic_ms\":%.6g,"
-           "\"sessions_to_recover\":%llu,"
-           "\"max_parallel_replays\":%u,\"orphan_events\":%llu,"
-           "\"on_demand_replays\":%llu,"
-           "\"total_replay_ms\":%.6g,\"msp_checkpoint_lsn\":%llu,"
-           "\"scan_start_lsn\":%llu,\"scan_end_lsn\":%llu,"
-           "\"session_replays\":[",
-           epoch, started_model_ms, analysis_scan_ms,
-           static_cast<unsigned long long>(analysis_records_scanned),
-           static_cast<unsigned long long>(analysis_bytes_scanned),
-           post_scan_checkpoint_ms, open_for_traffic_ms,
-           static_cast<unsigned long long>(sessions_to_recover),
-           max_parallel_replays, static_cast<unsigned long long>(orphan_events),
-           static_cast<unsigned long long>(on_demand_replays),
-           TotalReplayMs(), static_cast<unsigned long long>(msp_checkpoint_lsn),
-           static_cast<unsigned long long>(scan_start_lsn),
-           static_cast<unsigned long long>(scan_end_lsn));
-  std::string out = buf;
-  bool first = true;
+  JsonArray replays;
   for (const auto& r : session_replays) {
-    if (!first) out += ",";
-    first = false;
-    snprintf(buf, sizeof(buf),
-             "\"replay_ms\":%.6g,\"requests_replayed\":%llu,\"rounds\":%u,"
-             "\"from_crash\":%s,\"converged\":%s}",
-             r.replay_ms, static_cast<unsigned long long>(r.requests_replayed),
-             r.rounds, r.from_crash ? "true" : "false",
-             r.converged ? "true" : "false");
-    out += "{\"session\":\"" + JsonEscape(r.session_id) + "\"," + buf;
+    replays.Push(Json()
+                     .Add("session", r.session_id)
+                     .Add("replay_ms", r.replay_ms)
+                     .Add("requests_replayed", r.requests_replayed)
+                     .Add("rounds", r.rounds)
+                     .Add("from_crash", r.from_crash)
+                     .Add("converged", r.converged));
   }
-  out += "],\"provenance\":[";
-  first = true;
+  JsonArray prov;
   for (const auto& p : provenance) {
-    if (!first) out += ",";
-    first = false;
-    snprintf(buf, sizeof(buf),
-             "\"session_checkpoint_lsn\":%llu,\"msp_checkpoint_lsn\":%llu,"
-             "\"log_records_consumed\":%llu,\"records\":[",
-             static_cast<unsigned long long>(p.session_checkpoint_lsn),
-             static_cast<unsigned long long>(p.msp_checkpoint_lsn),
-             static_cast<unsigned long long>(p.log_records_consumed));
-    out += "{\"session\":\"" + JsonEscape(p.session_id) + "\"," + buf;
-    bool rfirst = true;
+    JsonArray records;
     for (const auto& rr : p.records) {
-      if (!rfirst) out += ",";
-      rfirst = false;
-      snprintf(buf, sizeof(buf), "{\"epoch\":%u,\"seqno\":%llu,\"lsn\":%llu}",
-               rr.epoch, static_cast<unsigned long long>(rr.seqno),
-               static_cast<unsigned long long>(rr.lsn));
-      out += buf;
+      records.Push(Json()
+                       .Add("epoch", rr.epoch)
+                       .Add("seqno", rr.seqno)
+                       .Add("lsn", rr.lsn));
     }
-    out += "]}";
+    prov.Push(Json()
+                  .Add("session", p.session_id)
+                  .Add("session_checkpoint_lsn", p.session_checkpoint_lsn)
+                  .Add("msp_checkpoint_lsn", p.msp_checkpoint_lsn)
+                  .Add("log_records_consumed", p.log_records_consumed)
+                  .Add("records", records));
   }
-  out += "]}";
-  return out;
+  return Json()
+      .Add("epoch", epoch)
+      .Add("started_ms", started_model_ms)
+      .Add("analysis_scan_ms", analysis_scan_ms)
+      .Add("analysis_records_scanned", analysis_records_scanned)
+      .Add("analysis_bytes_scanned", analysis_bytes_scanned)
+      .Add("post_scan_checkpoint_ms", post_scan_checkpoint_ms)
+      .Add("open_for_traffic_ms", open_for_traffic_ms)
+      .Add("sessions_to_recover", sessions_to_recover)
+      .Add("max_parallel_replays", max_parallel_replays)
+      .Add("orphan_events", orphan_events)
+      .Add("on_demand_replays", on_demand_replays)
+      .Add("total_replay_ms", TotalReplayMs())
+      .Add("msp_checkpoint_lsn", msp_checkpoint_lsn)
+      .Add("scan_start_lsn", scan_start_lsn)
+      .Add("scan_end_lsn", scan_end_lsn)
+      .Add("session_replays", replays)
+      .Add("provenance", prov)
+      .Str();
 }
 
 }  // namespace obs

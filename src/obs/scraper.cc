@@ -1,8 +1,8 @@
 #include "obs/scraper.h"
 
 #include <chrono>
-#include <cstdio>
 
+#include "obs/json.h"
 #include "obs/metrics.h"
 
 namespace msplog {
@@ -203,62 +203,54 @@ std::string PromName(const std::string& prefix, const std::string& name) {
   return out;
 }
 
-std::string FmtValue(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.6g", v);
-  return buf;
-}
-
 }  // namespace
 
 std::string MetricsScraper::DumpPrometheus() const {
   audit::LockGuard lk(mu_);
+  // Numbers use the JSON writer's one format (shortest round-trip), which
+  // the Prometheus text format accepts for every finite value.
   std::string out;
   // Crash/recovery epoch marks ride along as comments: Prometheus ignores
   // them, humans reading the exposition see why a series went flat.
   for (const auto& m : epoch_marks_) {
-    out += "# EPOCH " + FmtValue(m.t_ms) + "ms " + m.label + "\n";
+    out += "# EPOCH ";
+    AppendJsonValue(&out, m.t_ms);
+    out += "ms " + m.label + "\n";
   }
   for (const auto& p : probes_) {
     if (p->ring.total_pushed() == 0) continue;
     std::string name = PromName(options_.prefix, p->name);
     out += "# TYPE " + name + " " + p->prom_type + "\n";
-    out += name + " " + FmtValue(p->ring.Latest().value) + "\n";
+    out += name + " ";
+    AppendJsonValue(&out, p->ring.Latest().value);
+    out += "\n";
   }
   return out;
 }
 
 std::string MetricsScraper::DumpJson() const {
   audit::LockGuard lk(mu_);
-  char head[128];
-  std::snprintf(head, sizeof(head),
-                "{\"period_ms\":%.3f,\"ring_capacity\":%zu,"
-                "\"samples_taken\":%llu,\"epoch_marks\":[",
-                options_.period_ms, options_.ring_capacity,
-                static_cast<unsigned long long>(
-                    samples_.load(std::memory_order_relaxed)));
-  std::string out = head;
-  bool first = true;
-  for (size_t i = 0; i < epoch_marks_.size(); ++i) {
-    if (i) out += ",";
-    out += "{\"t_ms\":" + FmtValue(epoch_marks_[i].t_ms) + ",\"label\":\"" +
-           JsonEscape(epoch_marks_[i].label) + "\"}";
+  JsonArray marks;
+  for (const EpochMark& m : epoch_marks_) {
+    marks.Push(Json().Add("t_ms", m.t_ms).Add("label", m.label));
   }
-  out += "],\"series\":{";
+  Json series;
   for (const auto& p : probes_) {
-    if (!first) out += ",";
-    first = false;
-    out += "\"" + JsonEscape(p->name) + "\":{\"total_pushed\":" +
-           std::to_string(p->ring.total_pushed()) + ",\"points\":[";
-    std::vector<TimeSeriesRing::Sample> pts = p->ring.Samples();
-    for (size_t i = 0; i < pts.size(); ++i) {
-      if (i) out += ",";
-      out += "[" + FmtValue(pts[i].t_ms) + "," + FmtValue(pts[i].value) + "]";
+    JsonArray points;
+    for (const TimeSeriesRing::Sample& pt : p->ring.Samples()) {
+      points.Push(JsonArray().Push(pt.t_ms).Push(pt.value));
     }
-    out += "]}";
+    series.Add(p->name, Json()
+                            .Add("total_pushed", p->ring.total_pushed())
+                            .Add("points", points));
   }
-  out += "}}";
-  return out;
+  return Json()
+      .Add("period_ms", options_.period_ms)
+      .Add("ring_capacity", options_.ring_capacity)
+      .Add("samples_taken", samples_.load(std::memory_order_relaxed))
+      .Add("epoch_marks", marks)
+      .Add("series", series)
+      .Str();
 }
 
 }  // namespace obs

@@ -1,9 +1,6 @@
 #include "obs/session_stats.h"
 
-#include <cinttypes>
-#include <cstdio>
-
-#include "obs/metrics.h"
+#include "obs/json.h"
 
 namespace msplog {
 namespace obs {
@@ -21,14 +18,6 @@ void AtomicMaxU64(std::atomic<uint64_t>* a, uint64_t v) {
   while (v > cur &&
          !a->compare_exchange_weak(cur, v, std::memory_order_relaxed)) {
   }
-}
-
-void AppendU64(std::string* out, const char* key, uint64_t v,
-               bool comma = true) {
-  char buf[96];
-  std::snprintf(buf, sizeof(buf), "\"%s\":%" PRIu64 "%s", key, v,
-                comma ? "," : "");
-  *out += buf;
 }
 
 }  // namespace
@@ -80,41 +69,31 @@ SessionStatsSnapshot SessionStats::Snap(const std::string& session_id) const {
 }
 
 std::string SessionStatsSnapshot::ToJson() const {
-  std::string out = "{\"session\":\"" + JsonEscape(session_id) + "\",";
-  AppendU64(&out, "requests", requests);
-  AppendU64(&out, "nested_calls", nested_calls);
-  AppendU64(&out, "max_request_fanout", max_request_fanout);
-  AppendU64(&out, "cross_domain_calls", cross_domain_calls);
-  AppendU64(&out, "flush_stalls", flush_stalls);
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "\"flush_stall_ms\":%.3f,", flush_stall_ms);
-  out += buf;
-  AppendU64(&out, "log_records", log_records);
-  AppendU64(&out, "log_bytes", log_bytes);
-  AppendU64(&out, "forced_flushes", forced_flushes);
-  AppendU64(&out, "piggybacked_sends", piggybacked_sends);
-  AppendU64(&out, "checkpoints", checkpoints);
-  AppendU64(&out, "replays", replays);
-  AppendU64(&out, "dv_entries", dv_entries);
-  out += "\"calls_by_peer\":{";
-  bool first = true;
-  for (const auto& [peer, n] : calls_by_peer) {
-    if (!first) out += ",";
-    first = false;
-    out += "\"" + JsonEscape(peer) + "\":" + std::to_string(n);
-  }
-  out += "}}";
-  return out;
+  Json peers;
+  for (const auto& [peer, n] : calls_by_peer) peers.Add(peer, n);
+  return Json()
+      .Add("session", session_id)
+      .Add("requests", requests)
+      .Add("nested_calls", nested_calls)
+      .Add("max_request_fanout", max_request_fanout)
+      .Add("cross_domain_calls", cross_domain_calls)
+      .Add("flush_stalls", flush_stalls)
+      .Add("flush_stall_ms", flush_stall_ms)
+      .Add("log_records", log_records)
+      .Add("log_bytes", log_bytes)
+      .Add("forced_flushes", forced_flushes)
+      .Add("piggybacked_sends", piggybacked_sends)
+      .Add("checkpoints", checkpoints)
+      .Add("replays", replays)
+      .Add("dv_entries", dv_entries)
+      .Add("calls_by_peer", peers)
+      .Str();
 }
 
 std::string SessionTelemetryJson(const std::vector<SessionStatsSnapshot>& v) {
-  std::string out = "[";
-  for (size_t i = 0; i < v.size(); ++i) {
-    if (i) out += ",";
-    out += v[i].ToJson();
-  }
-  out += "]";
-  return out;
+  JsonArray out;
+  for (const SessionStatsSnapshot& s : v) out.PushRaw(s.ToJson());
+  return out.Str();
 }
 
 }  // namespace obs

@@ -2,11 +2,11 @@
 #include "obs/trace.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <map>
 #include <thread>
 
-#include "obs/metrics.h"  // JsonEscape, Counter
+#include "obs/json.h"
+#include "obs/metrics.h"  // Counter
 
 namespace msplog {
 namespace obs {
@@ -82,7 +82,6 @@ EventTracer::EventTracer(size_t capacity, size_t stripes) {
 void EventTracer::Record(TraceEventType type, double model_ms,
                          std::string actor, std::string session,
                          uint64_t seqno, std::string detail, SpanContext span) {
-  if (!enabled()) return;
   TraceEvent e;
   e.type = type;
   e.model_ms = model_ms;
@@ -148,29 +147,23 @@ std::string EventTracer::DumpJson(size_t max_events) const {
     events.erase(events.begin(),
                  events.end() - static_cast<ptrdiff_t>(max_events));
   }
-  std::string out = "[";
-  bool first = true;
+  JsonArray out;
   for (const TraceEvent& e : events) {
-    if (!first) out += ",";
-    first = false;
-    char buf[128];
-    snprintf(buf, sizeof(buf), "{\"type\":\"%s\",\"t_ms\":%.6f,\"seq\":%llu,",
-             TraceEventTypeName(e.type), e.model_ms,
-             static_cast<unsigned long long>(e.seq));
-    out += buf;
-    out += "\"actor\":\"" + JsonEscape(e.actor) + "\",";
-    out += "\"session\":\"" + JsonEscape(e.session) + "\",";
-    out += "\"seqno\":" + std::to_string(e.seqno) + ",";
+    Json o;
+    o.Add("type", TraceEventTypeName(e.type))
+        .Add("t_ms", e.model_ms)
+        .Add("seq", e.seq)
+        .Add("actor", e.actor)
+        .Add("session", e.session)
+        .Add("seqno", e.seqno);
     if (e.span.valid()) {
-      out += "\"trace_id\":" + std::to_string(e.span.trace_id) + ",";
-      out += "\"span_id\":" + std::to_string(e.span.span_id) + ",";
-      out += "\"parent_span_id\":" + std::to_string(e.span.parent_span_id) +
-             ",";
+      o.Add("trace_id", e.span.trace_id)
+          .Add("span_id", e.span.span_id)
+          .Add("parent_span_id", e.span.parent_span_id);
     }
-    out += "\"detail\":\"" + JsonEscape(e.detail) + "\"}";
+    out.Push(o.Add("detail", e.detail));
   }
-  out += "]";
-  return out;
+  return out.Str();
 }
 
 std::string EventTracer::DumpChromeTracing() const {
@@ -194,62 +187,62 @@ std::string EventTracer::DumpChromeTracing() const {
     }
   }
 
-  std::string out = "{\"traceEvents\":[";
-  bool first = true;
-  auto emit = [&](const std::string& obj) {
-    if (!first) out += ",";
-    first = false;
-    out += obj;
+  JsonArray out;
+  auto metadata = [&](const char* name, int pid, int tid,
+                      const std::string& label) {
+    out.Push(Json()
+                 .Add("ph", "M")
+                 .Add("name", name)
+                 .Add("pid", pid)
+                 .Add("tid", tid)
+                 .Add("args", Json().Add("name", label)));
   };
-  for (const auto& [actor, pid] : pids) {
-    emit("{\"ph\":\"M\",\"name\":\"process_name\",\"pid\":" +
-         std::to_string(pid) + ",\"tid\":0,\"args\":{\"name\":\"" +
-         JsonEscape(actor) + "\"}}");
-  }
+  for (const auto& [actor, pid] : pids) metadata("process_name", pid, 0, actor);
   for (const auto& [key, tid] : tids) {
-    emit("{\"ph\":\"M\",\"name\":\"thread_name\",\"pid\":" +
-         std::to_string(pids[key.first]) + ",\"tid\":" + std::to_string(tid) +
-         ",\"args\":{\"name\":\"" +
-         JsonEscape(key.second.empty() ? "-" : key.second) + "\"}}");
+    metadata("thread_name", pids[key.first], tid,
+             key.second.empty() ? "-" : key.second);
   }
   for (const TraceEvent& e : events) {
     const char* span = nullptr;
-    char ph = PhaseFor(e.type, &span);
+    const char ph = PhaseFor(e.type, &span);
     const int pid = pids[e.actor];
     const int tid = tids[{e.actor, e.session}];
-    char buf[160];
-    snprintf(buf, sizeof(buf),
-             "{\"ph\":\"%c\",\"name\":\"%s\",\"ts\":%.3f,\"pid\":%d,"
-             "\"tid\":%d",
-             ph, span, e.model_ms * 1000.0, pid, tid);
-    std::string obj = buf;
-    if (ph == 'i') obj += ",\"s\":\"t\"";
-    obj += ",\"args\":{\"seqno\":" + std::to_string(e.seqno);
+    const double ts = e.model_ms * 1000.0;
+    Json obj;
+    obj.Add("ph", std::string_view(&ph, 1))
+        .Add("name", span)
+        .Add("ts", ts)
+        .Add("pid", pid)
+        .Add("tid", tid);
+    if (ph == 'i') obj.Add("s", "t");
+    Json args;
+    args.Add("seqno", e.seqno);
     if (e.span.valid()) {
-      obj += ",\"trace_id\":" + std::to_string(e.span.trace_id) +
-             ",\"span_id\":" + std::to_string(e.span.span_id) +
-             ",\"parent_span_id\":" + std::to_string(e.span.parent_span_id);
+      args.Add("trace_id", e.span.trace_id)
+          .Add("span_id", e.span.span_id)
+          .Add("parent_span_id", e.span.parent_span_id);
     }
-    obj += ",\"detail\":\"" + JsonEscape(e.detail) + "\"}}";
-    emit(obj);
+    out.Push(obj.Add("args", args.Add("detail", e.detail)));
     if (e.span.valid()) {
       const auto& bounds = flow_bounds[e.span.trace_id];
       if (bounds.first != bounds.second) {  // single-event traces draw nothing
-        char fph = e.seq == bounds.first ? 's'
-                   : e.seq == bounds.second ? 'f'
-                                            : 't';
-        snprintf(buf, sizeof(buf),
-                 "{\"ph\":\"%c\",\"cat\":\"trace\",\"name\":\"trace\","
-                 "\"id\":%llu,\"ts\":%.3f,\"pid\":%d,\"tid\":%d%s}",
-                 fph, static_cast<unsigned long long>(e.span.trace_id),
-                 e.model_ms * 1000.0, pid, tid,
-                 fph == 'f' ? ",\"bp\":\"e\"" : "");
-        emit(buf);
+        const char fph = e.seq == bounds.first    ? 's'
+                         : e.seq == bounds.second ? 'f'
+                                                  : 't';
+        Json flow;
+        flow.Add("ph", std::string_view(&fph, 1))
+            .Add("cat", "trace")
+            .Add("name", "trace")
+            .Add("id", e.span.trace_id)
+            .Add("ts", ts)
+            .Add("pid", pid)
+            .Add("tid", tid);
+        if (fph == 'f') flow.Add("bp", "e");
+        out.Push(flow);
       }
     }
   }
-  out += "]}";
-  return out;
+  return Json().Add("traceEvents", out).Str();
 }
 
 }  // namespace obs

@@ -1,15 +1,18 @@
 // EventTracer — a bounded, lock-striped ring buffer of structured
-// request-lifecycle events.
+// request-lifecycle events, and the environment's only event ring.
 //
 // Every interesting transition on the request path (enqueue, dequeue,
 // execute, local and distributed log flush, reply) and on the recovery path
 // (analysis scan, per-session replay, checkpoints, orphan cuts) records one
 // event stamped with model time, the acting component, the session and the
-// request seqno. The buffer is bounded (oldest events are overwritten), so
-// tracing can stay on during long benchmarks; recording is one short
-// critical section on one of N stripes, so concurrent sessions do not
-// serialize on the tracer. Overwrites are counted (dropped()) and mirrored
-// into an optional Counter so truncated traces are detectable.
+// request seqno. The tracer is always on and cannot be disabled: the flight
+// recorder's crash and invariant bundles (obs/flight_recorder.h) freeze its
+// newest events as the black-box record of the moments before a fault. The
+// buffer is bounded (oldest events are overwritten), so it stays on during
+// long benchmarks; recording is one short critical section on one of N
+// stripes, so concurrent sessions do not serialize on the tracer.
+// Overwrites are counted (dropped()) and mirrored into an optional Counter
+// so truncated traces are detectable.
 //
 // Causal tracing: events may carry a SpanContext — a (trace_id, span_id,
 // parent_span_id) triple propagated on the wire (rpc/message.h) from the
@@ -100,9 +103,6 @@ class EventTracer {
  public:
   explicit EventTracer(size_t capacity = 1 << 16, size_t stripes = 8);
 
-  void set_enabled(bool v) { enabled_.store(v, std::memory_order_relaxed); }
-  bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
-
   /// Mirror ring overwrites into `c` (e.g. the registry's
   /// "obs.trace_dropped"), so benches can surface truncation. May be null.
   void set_drop_counter(Counter* c) { drop_counter_ = c; }
@@ -141,7 +141,6 @@ class EventTracer {
   size_t per_stripe_;
   std::vector<std::unique_ptr<Stripe>> stripes_;
   std::atomic<uint64_t> seq_{0};
-  std::atomic<bool> enabled_{true};
   Counter* drop_counter_ = nullptr;
 };
 

@@ -138,14 +138,15 @@ class SimEnvironment {
   obs::MetricsRegistry& metrics() { return metrics_; }
   const obs::MetricsRegistry& metrics() const { return metrics_; }
 
-  /// Request-lifecycle event tracer (bounded ring; on by default).
+  /// Request-lifecycle event tracer: the environment's one event ring,
+  /// bounded and always on.
   obs::EventTracer& tracer() { return tracer_; }
   const obs::EventTracer& tracer() const { return tracer_; }
 
-  /// Crash black box (bounded event ring + frozen snapshot bundles). Owned
-  /// here — like the scraper — so the pre-crash ring and bundles survive
-  /// Msp crash/recovery; frozen automatically on any audit invariant
-  /// violation via a registry hook installed at construction.
+  /// Crash black box: frozen snapshot bundles, each with the tracer's tail.
+  /// Owned here — like the scraper — so the bundles survive Msp
+  /// crash/recovery; frozen automatically on any audit invariant violation
+  /// via a registry hook installed at construction.
   obs::FlightRecorder& flight_recorder() { return flight_recorder_; }
   const obs::FlightRecorder& flight_recorder() const {
     return flight_recorder_;

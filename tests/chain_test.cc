@@ -270,7 +270,7 @@ TEST_F(ChainTest, DistributedTraceSpansChainAndLogImageSelfChecks) {
   std::vector<obs::RecoveryTimeline::SessionProvenance> prov;
   auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
   while (std::chrono::steady_clock::now() < deadline) {
-    prov = c_->RecoveryProvenance();
+    prov = c_->LastRecoveryTimeline().provenance;
     if (!prov.empty() && !prov[0].records.empty()) break;
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }

@@ -1,8 +1,9 @@
-// Flight recorder + outage observatory tests: the black-box ring itself,
-// the freeze triggers (simulated crash, invariant violation), the
-// recovery-side outage join (per-session fates and MTTR vs ground truth
-// under a chaos workload), the offline post-mortem cross-check, and the
-// bounded crash-generation / recovery-timeline history across many cycles.
+// Flight recorder + outage observatory tests: bundles freezing the event
+// tracer's tail, the freeze triggers (simulated crash, invariant
+// violation), the recovery-side outage join (per-session fates and MTTR vs
+// ground truth under a chaos workload), the offline post-mortem
+// cross-check, and the bounded crash-generation / recovery-timeline
+// history across many cycles.
 //
 // The chaos test exports its frozen bundle, live outage report, and raw log
 // image (msplog_outage_*.{json,bin}) so CI can drive the msplog_postmortem
@@ -15,8 +16,10 @@
 
 #include "audit/invariants.h"
 #include "harness/paper_workload.h"
+#include "json_strict.h"
 #include "msp/postmortem.h"
 #include "obs/flight_recorder.h"
+#include "obs/trace.h"
 
 namespace msplog {
 namespace {
@@ -25,24 +28,33 @@ namespace {
 // FlightRecorder unit tests (no server involved).
 // ---------------------------------------------------------------------------
 
-TEST(FlightRecorderTest, RingWrapsAndCountsDrops) {
+TEST(FlightRecorderTest, BundleFreezesTheTracerTail) {
+  // The recorder keeps no ring of its own: a bundle freezes the newest
+  // events of the environment's EventTracer, wired as in SimEnvironment.
   double now = 1.0;
-  obs::FlightRecorder::Options opt;
-  opt.ring_capacity = 4;
-  obs::FlightRecorder fr([&now] { return now; }, opt);
-  for (int i = 0; i < 10; ++i) {
-    now = 1.0 + i;
-    fr.Record(obs::FlightEventType::kNote, "a", "s", i, "e" + std::to_string(i));
+  obs::EventTracer tracer;
+  obs::FlightRecorder fr([&now] { return now; });
+  fr.set_tracer_tail_dump([&tracer] { return tracer.DumpJson(4); });
+  for (uint64_t i = 0; i < 10; ++i) {
+    tracer.Record(obs::TraceEventType::kDequeue, 1.0 + i, "m1", "sA", i,
+                  "e" + std::to_string(i));
   }
-  EXPECT_EQ(fr.recorded_total(), 10u);
-  EXPECT_EQ(fr.dropped(), 6u);
-  std::vector<obs::FlightEvent> ring = fr.RingEvents();
-  ASSERT_EQ(ring.size(), 4u);
-  // Oldest-first, and exactly the newest four survive.
-  for (size_t i = 0; i < ring.size(); ++i) {
-    EXPECT_EQ(ring[i].seq, 6 + i);
-    EXPECT_EQ(ring[i].detail, "e" + std::to_string(6 + i));
+  obs::FlightBundle b = fr.FreezeOnCrash("m1", 1);
+  EXPECT_TRUE(JsonStrict(b.tracer_tail_json));
+  // Exactly the newest four events survive, oldest first.
+  EXPECT_EQ(b.tracer_tail_json.find("\"detail\":\"e5\""), std::string::npos);
+  size_t prev = 0;
+  for (int i = 6; i < 10; ++i) {
+    size_t at = b.tracer_tail_json.find("\"detail\":\"e" +
+                                        std::to_string(i) + "\"");
+    ASSERT_NE(at, std::string::npos) << i;
+    EXPECT_GT(at, prev);
+    prev = at;
   }
+  std::string json = b.ToJson();
+  EXPECT_TRUE(JsonStrict(json));
+  EXPECT_EQ(json.find("\"events\""), std::string::npos);
+  EXPECT_EQ(json.find("\"events_dropped\""), std::string::npos);
 }
 
 TEST(FlightRecorderTest, FreezeOnCrashSnapshotsTheCrashedActorOnly) {
@@ -58,7 +70,6 @@ TEST(FlightRecorderTest, FreezeOnCrashSnapshotsTheCrashedActorOnly) {
   });
   fr.SetSnapshotProvider("m2", [] { return obs::FlightSnapshot(); });
   fr.set_tracer_tail_dump([] { return std::string("[{\"t\":1}]"); });
-  fr.Record(obs::FlightEventType::kRequest, "m1", "sA", 7, "method");
 
   obs::FlightBundle b = fr.FreezeOnCrash("m1", 3, "test crash");
   EXPECT_TRUE(b.frozen);
@@ -70,8 +81,6 @@ TEST(FlightRecorderTest, FreezeOnCrashSnapshotsTheCrashedActorOnly) {
   EXPECT_EQ(b.snapshots[0].first, "m1");
   EXPECT_EQ(b.snapshots[0].second.inflight_sessions.size(), 2u);
   EXPECT_EQ(b.snapshots[0].second.log_durable_lsn, 80u);
-  ASSERT_EQ(b.events.size(), 1u);
-  EXPECT_EQ(b.events[0].session, "sA");
   EXPECT_EQ(fr.frozen_count(), 1u);
   // The same bundle is retrievable by actor.
   obs::FlightBundle again = fr.LatestBundleFor("m1");
@@ -80,6 +89,7 @@ TEST(FlightRecorderTest, FreezeOnCrashSnapshotsTheCrashedActorOnly) {
   EXPECT_FALSE(fr.LatestBundleFor("nobody").frozen);
 
   std::string json = b.ToJson();
+  EXPECT_TRUE(JsonStrict(json));
   EXPECT_NE(json.find("\"trigger\":\"crash\""), std::string::npos);
   EXPECT_NE(json.find("\"statusz\":{\"who\":\"m1\"}"), std::string::npos);
   EXPECT_NE(json.find("\"tracer_tail\":[{\"t\":1}]"), std::string::npos);
@@ -87,9 +97,7 @@ TEST(FlightRecorderTest, FreezeOnCrashSnapshotsTheCrashedActorOnly) {
 
 TEST(FlightRecorderTest, BundleHistoryIsBounded) {
   double now = 0;
-  obs::FlightRecorder::Options opt;
-  opt.max_bundles = 2;
-  obs::FlightRecorder fr([&now] { return now; }, opt);
+  obs::FlightRecorder fr([&now] { return now; }, /*max_bundles=*/2);
   for (uint64_t g = 1; g <= 5; ++g) {
     now = static_cast<double>(g);
     fr.FreezeOnCrash("m", g);
@@ -112,12 +120,9 @@ TEST(FlightRecorderTest, ViolationFreezeSnapshotsAllProviders) {
   ASSERT_EQ(bundles.size(), 1u);
   EXPECT_EQ(bundles[0].trigger, "invariant:dv-monotonic");
   EXPECT_EQ(bundles[0].snapshots.size(), 2u);
-  // The triggering invariant is also the newest ring event.
-  ASSERT_FALSE(bundles[0].events.empty());
-  EXPECT_EQ(bundles[0].events.back().type, obs::FlightEventType::kInvariant);
-  // DumpJson carries both the live ring and the frozen bundle.
-  std::string json = fr.DumpJson();
-  EXPECT_NE(json.find("\"bundles\":[{"), std::string::npos);
+  EXPECT_EQ(bundles[0].detail, "went backwards");
+  std::string json = bundles[0].ToJson();
+  EXPECT_TRUE(JsonStrict(json));
   EXPECT_NE(json.find("invariant:dv-monotonic"), std::string::npos);
 }
 
@@ -155,6 +160,10 @@ TEST(FlightRecorderIntegrationTest, InvariantViolationFreezesServerState) {
     EXPECT_NE(snap.statusz_json.find("\"id\":\"" + who + "\""),
               std::string::npos);
   }
+  // The request the client just made is in the frozen tracer tail.
+  EXPECT_NE(b.tracer_tail_json.find("\"type\":\"Dequeue\""),
+            std::string::npos);
+  EXPECT_TRUE(JsonStrict(b.ToJson()));
   audit::InvariantRegistry::Instance().ResetForTest();
   w.Shutdown();
 }
@@ -272,6 +281,9 @@ TEST(OutageObservatoryTest, ChaosCrashFatesAndMttrMatchGroundTruth) {
   ASSERT_TRUE(DerivePostmortem(log->disk(), log->file_name(), input, &offline)
                   .ok());
   ASSERT_EQ(offline.sessions.size(), report.sessions.size());
+  EXPECT_TRUE(JsonStrict(offline.ToJson()));
+  EXPECT_TRUE(JsonStrict(report.ToJson()));
+  EXPECT_TRUE(JsonStrict(bundle.ToJson()));
   for (const auto& live : report.sessions) {
     const PostmortemSessionFate* mine = offline.Find(live.session_id);
     ASSERT_NE(mine, nullptr) << live.session_id;

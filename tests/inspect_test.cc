@@ -6,6 +6,7 @@
 
 #include <memory>
 
+#include "json_strict.h"
 #include "msp/log_inspect.h"
 #include "msp/msp.h"
 #include "msp/service_domain.h"
@@ -114,6 +115,7 @@ TEST_F(InspectTest, CleanImagePassesEveryInvariant) {
             std::string::npos);
   EXPECT_NE(summary.find("invariants: OK"), std::string::npos);
   std::string json = report.ToJson();
+  EXPECT_TRUE(JsonStrict(json));
   EXPECT_NE(json.find("\"records\":" + std::to_string(report.records)),
             std::string::npos);
   EXPECT_NE(json.find("\"invariant_violations\":[]"), std::string::npos);
@@ -181,6 +183,7 @@ TEST_F(InspectTest, StatsReconstructsPerSessionCountsFromTheImage) {
             std::string::npos);
   EXPECT_NE(report.ToJson().find("\"session_stats\":[{\"session\":"),
             std::string::npos);
+  EXPECT_TRUE(JsonStrict(report.ToJson()));
 
   // Without the flag the report stays lean.
   LogInspectReport plain;

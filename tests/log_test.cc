@@ -192,14 +192,35 @@ TEST_F(LogFileTest, GroupCommitBatchesConcurrentFlushes) {
   EXPECT_GT(log.durable_lsn(), lsns[kThreads - 1]);
 }
 
-TEST_F(LogFileTest, ScannerSeesAllRecordsAcrossFlushBoundaries) {
+// Parameter k: the first flush ends k bytes before a sector boundary (k = 0
+// leaves no gap). Gaps of 1-3 zero bytes are shorter than a frame's length
+// field, so the scanner must recognise them as padding without a length.
+class ScannerGapTest : public LogFileTest,
+                       public ::testing::WithParamInterface<int> {};
+
+TEST_P(ScannerGapTest, ScannerSeesAllRecordsAcrossFlushBoundaries) {
+  const uint64_t sector = disk_.geometry().sector_bytes;
+  const uint64_t gap = static_cast<uint64_t>(GetParam());
   LogFile log(&env_, &disk_, "log");
   std::vector<uint64_t> lsns;
+  // One record whose frame (and therefore the flush) ends `gap` bytes
+  // before a sector boundary.
+  size_t payload = 0;
+  auto first = [&] {
+    return MakeRequestRecord("s", 0, "m", MakePayload(payload));
+  };
+  while ((8 + first().EncodedSize()) % sector != (sector - gap) % sector) {
+    ++payload;
+  }
+  size_t framed = 0;
+  lsns.push_back(log.Append(first(), &framed));
+  ASSERT_EQ((lsns[0] + framed) % sector, (sector - gap) % sector);
+  ASSERT_TRUE(log.FlushAll().ok());
   // Multiple flushes create padding gaps the scanner must skip.
   for (int batch = 0; batch < 5; ++batch) {
     for (int i = 0; i < 7; ++i) {
-      lsns.push_back(log.Append(
-          MakeRequestRecord("s", batch * 7 + i, "m", MakePayload(90, i))));
+      lsns.push_back(log.Append(MakeRequestRecord(
+          "s", 1 + batch * 7 + i, "m", MakePayload(90, i))));
     }
     ASSERT_TRUE(log.FlushAll().ok());
   }
@@ -217,6 +238,9 @@ TEST_F(LogFileTest, ScannerSeesAllRecordsAcrossFlushBoundaries) {
   }
   EXPECT_EQ(n, lsns.size());
 }
+
+INSTANTIATE_TEST_SUITE_P(GapBeforeSectorBoundary, ScannerGapTest,
+                         ::testing::Range(0, 10));
 
 TEST_F(LogFileTest, ScannerHandlesRecordsLargerThanChunk) {
   LogFile log(&env_, &disk_, "log");

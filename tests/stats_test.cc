@@ -4,14 +4,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cctype>
 #include <chrono>
+#include <limits>
 #include <thread>
 #include <vector>
 
+#include "json_strict.h"
 #include "msp/msp.h"
 #include "msp/service_domain.h"
 #include "obs/blame.h"
+#include "obs/json.h"
 #include "obs/metrics.h"
 #include "obs/scraper.h"
 #include "obs/session_stats.h"
@@ -529,7 +531,7 @@ TEST_F(StatsTest, RecoveryProvenanceNamesTheRecordsThatRebuiltTheSession) {
   auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
   std::vector<obs::RecoveryTimeline::SessionProvenance> prov;
   while (std::chrono::steady_clock::now() < deadline) {
-    prov = alpha_->RecoveryProvenance();
+    prov = alpha_->LastRecoveryTimeline().provenance;
     if (!prov.empty()) break;
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
@@ -692,124 +694,8 @@ TEST_F(StatsTest, SessionTelemetryCountsReplaysOnFreshRecord) {
 }
 
 // ---------------------------------------------------------------------------
-// Strict mini JSON parser: every machine-readable dump must parse with NO
-// leniency (no trailing garbage, no NaN/inf leaking out of %g, balanced
-// structure). Substring checks alone would never catch a malformed dump.
-
-size_t JsonValue(const std::string& s, size_t i);
-
-size_t JsonWs(const std::string& s, size_t i) {
-  while (i < s.size() && (s[i] == ' ' || s[i] == '\t' || s[i] == '\n' ||
-                          s[i] == '\r')) {
-    ++i;
-  }
-  return i;
-}
-
-size_t JsonString(const std::string& s, size_t i) {
-  if (i >= s.size() || s[i] != '"') return std::string::npos;
-  ++i;
-  while (i < s.size()) {
-    if (s[i] == '\\') {
-      if (i + 1 >= s.size()) return std::string::npos;
-      i += 2;
-    } else if (s[i] == '"') {
-      return i + 1;
-    } else {
-      ++i;
-    }
-  }
-  return std::string::npos;
-}
-
-size_t JsonNumber(const std::string& s, size_t i) {
-  size_t start = i;
-  if (i < s.size() && s[i] == '-') ++i;
-  size_t digits = i;
-  while (i < s.size() && isdigit(static_cast<unsigned char>(s[i]))) ++i;
-  if (i == digits) return std::string::npos;  // rejects nan/inf too
-  if (i < s.size() && s[i] == '.') {
-    ++i;
-    size_t frac = i;
-    while (i < s.size() && isdigit(static_cast<unsigned char>(s[i]))) ++i;
-    if (i == frac) return std::string::npos;
-  }
-  if (i < s.size() && (s[i] == 'e' || s[i] == 'E')) {
-    ++i;
-    if (i < s.size() && (s[i] == '+' || s[i] == '-')) ++i;
-    size_t exp = i;
-    while (i < s.size() && isdigit(static_cast<unsigned char>(s[i]))) ++i;
-    if (i == exp) return std::string::npos;
-  }
-  return i > start ? i : std::string::npos;
-}
-
-size_t JsonObject(const std::string& s, size_t i) {
-  ++i;  // '{'
-  i = JsonWs(s, i);
-  if (i < s.size() && s[i] == '}') return i + 1;
-  while (true) {
-    i = JsonString(s, JsonWs(s, i));
-    if (i == std::string::npos) return std::string::npos;
-    i = JsonWs(s, i);
-    if (i >= s.size() || s[i] != ':') return std::string::npos;
-    i = JsonValue(s, i + 1);
-    if (i == std::string::npos) return std::string::npos;
-    i = JsonWs(s, i);
-    if (i < s.size() && s[i] == ',') {
-      ++i;
-    } else if (i < s.size() && s[i] == '}') {
-      return i + 1;
-    } else {
-      return std::string::npos;
-    }
-  }
-}
-
-size_t JsonArray(const std::string& s, size_t i) {
-  ++i;  // '['
-  i = JsonWs(s, i);
-  if (i < s.size() && s[i] == ']') return i + 1;
-  while (true) {
-    i = JsonValue(s, i);
-    if (i == std::string::npos) return std::string::npos;
-    i = JsonWs(s, i);
-    if (i < s.size() && s[i] == ',') {
-      ++i;
-    } else if (i < s.size() && s[i] == ']') {
-      return i + 1;
-    } else {
-      return std::string::npos;
-    }
-  }
-}
-
-size_t JsonValue(const std::string& s, size_t i) {
-  i = JsonWs(s, i);
-  if (i >= s.size()) return std::string::npos;
-  switch (s[i]) {
-    case '{': return JsonObject(s, i);
-    case '[': return JsonArray(s, i);
-    case '"': return JsonString(s, i);
-    case 't': return s.compare(i, 4, "true") == 0 ? i + 4 : std::string::npos;
-    case 'f': return s.compare(i, 5, "false") == 0 ? i + 5 : std::string::npos;
-    case 'n': return s.compare(i, 4, "null") == 0 ? i + 4 : std::string::npos;
-    default:  return JsonNumber(s, i);
-  }
-}
-
-::testing::AssertionResult JsonStrict(const std::string& s) {
-  size_t end = JsonValue(s, 0);
-  if (end == std::string::npos) {
-    return ::testing::AssertionFailure() << "JSON parse error in: " << s;
-  }
-  end = JsonWs(s, end);
-  if (end != s.size()) {
-    return ::testing::AssertionFailure()
-           << "trailing garbage at offset " << end << ": " << s.substr(end);
-  }
-  return ::testing::AssertionSuccess();
-}
+// Every machine-readable dump parses strictly (tests/json_strict.h), and the
+// one JSON writer (obs/json.h) keeps that true for any input.
 
 TEST(JsonStrictTest, RejectsMalformedDocuments) {
   EXPECT_TRUE(JsonStrict("{\"a\":[1,2.5e-3,\"x\\\"y\"],\"b\":{}}"));
@@ -819,6 +705,64 @@ TEST(JsonStrictTest, RejectsMalformedDocuments) {
   EXPECT_FALSE(JsonStrict("{\"a\":1} trailing"));
   EXPECT_FALSE(JsonStrict("{\"a\":}"));
   EXPECT_FALSE(JsonStrict("[1,2"));
+  EXPECT_FALSE(JsonStrict("[\"a\nb\"]"));   // raw control character
+  EXPECT_FALSE(JsonStrict("[\"\\x41\"]"));  // unknown escape
+  EXPECT_TRUE(JsonStrict("[\"\\u0001\\n\"]"));
+}
+
+TEST(JsonWriterTest, CompactInsertionOrderedOutput) {
+  obs::JsonArray arr;
+  arr.Push(1).Push("x").Push(true).Push(obs::Json());
+  std::string got = obs::Json()
+                        .Add("s", "v")
+                        .Add("u", uint64_t{18446744073709551615u})
+                        .Add("i", -3)
+                        .Add("d", 0.1)
+                        .Add("big", 1e21)
+                        .Add("b", false)
+                        .Add("arr", arr)
+                        .AddRaw("raw", "{\"k\":null}")
+                        .Str();
+  EXPECT_EQ(got,
+            "{\"s\":\"v\",\"u\":18446744073709551615,\"i\":-3,\"d\":0.1,"
+            "\"big\":1e+21,\"b\":false,\"arr\":[1,\"x\",true,{}],"
+            "\"raw\":{\"k\":null}}");
+  EXPECT_TRUE(JsonStrict(got));
+  EXPECT_EQ(obs::JsonArray().Str(), "[]");
+  EXPECT_EQ(obs::Json().Str(), "{}");
+}
+
+TEST(JsonWriterTest, DoublesRoundTripAndNonFiniteBecomesNull) {
+  for (double v : {0.0, -0.0, 1.0 / 3.0, 12345.678901234567, 1e-300, 1e300}) {
+    std::string out;
+    obs::AppendJsonValue(&out, v);
+    EXPECT_TRUE(JsonStrict(out)) << out;
+    EXPECT_EQ(std::stod(out), v) << out;
+  }
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  std::string doc = obs::Json()
+                        .Add("nan", nan)
+                        .Add("inf", inf)
+                        .Add("ninf", -inf)
+                        .Add("hist", obs::Histogram().Snap())
+                        .Str();
+  EXPECT_TRUE(JsonStrict(doc));
+  EXPECT_TRUE(doc.starts_with("{\"nan\":null,\"inf\":null,\"ninf\":null,"))
+      << doc;
+}
+
+TEST(JsonWriterTest, ControlCharactersInStringsAreEscaped) {
+  std::string nasty = "q\"b\\n\nr\rt\t";
+  for (int c = 0; c < 0x20; ++c) nasty += static_cast<char>(c);
+  nasty += "\x7f\xc3\xa9";  // DEL and UTF-8 pass through
+  obs::JsonArray arr;
+  arr.Push(nasty);
+  std::string doc = obs::Json().Add(nasty, nasty).Add("a", arr).Str();
+  EXPECT_TRUE(JsonStrict(doc)) << doc;
+  EXPECT_NE(doc.find("\\u0001"), std::string::npos);
+  EXPECT_NE(doc.find("\\u001f"), std::string::npos);
+  EXPECT_EQ(obs::JsonEscape("a\"b"), "a\\\"b");
 }
 
 TEST_F(StatsTest, DumpStatuszAndTelemetryDumpsParseStrictly) {
@@ -848,10 +792,19 @@ TEST_F(StatsTest, DumpStatuszAndTelemetryDumpsParseStrictly) {
   env_.scraper().SampleNow();
   env_.scraper().SampleNow();
   EXPECT_TRUE(JsonStrict(env_.scraper().DumpJson()));
+  EXPECT_TRUE(JsonStrict(env_.metrics().ToJson()));
+  EXPECT_TRUE(JsonStrict(env_.tracer().DumpJson()));
+  EXPECT_TRUE(JsonStrict(env_.tracer().DumpChromeTracing()));
   // The crashed server's dump parses too.
   alpha_->Crash();
   EXPECT_TRUE(JsonStrict(alpha_->DumpStatusz()));
+  const obs::FlightBundle bundle =
+      env_.flight_recorder().LatestBundleFor("alpha");
+  ASSERT_TRUE(bundle.frozen);
+  EXPECT_TRUE(JsonStrict(bundle.ToJson()));
   ASSERT_TRUE(alpha_->Start().ok());
+  EXPECT_TRUE(JsonStrict(alpha_->LastRecoveryTimeline().ToJson()));
+  EXPECT_TRUE(JsonStrict(alpha_->LastOutageReport().ToJson()));
 }
 
 // ---------------------------------------------------------------------------
