@@ -172,7 +172,9 @@ DvResult MeasureDvGranularity(bool per_session, int independent_sessions,
   return out;
 }
 
-void Run() {
+/// Runs both ablations; true when every measurement succeeded and both
+/// shape checks pass.
+bool Run() {
   bench::Header("bench_ablation_recovery",
                 "ablations: parallel session recovery (§4.3) and "
                 "per-session DVs (§3.2)");
@@ -186,11 +188,14 @@ void Run() {
   t1.AddRow({"sequential", bench::Fmt(seq, 1)});
   t1.Print();
   printf("  speedup: %.1fx\n", seq / par);
-  printf("  (re-execution CPU overlaps across sessions; the per-session\n"
-         "   64 KB log reads still serialize on the single log disk, which\n"
-         "   bounds the speedup below the session count)\n");
+  printf("  (re-execution CPU overlaps across sessions, and every replay\n"
+         "   parses its records from the bytes the analysis scan read; the\n"
+         "   scan and post-scan checkpoint before the drain, plus one\n"
+         "   session's own replay, bound the speedup below the session\n"
+         "   count)\n");
+  const bool parallel_ok = par > 0 && seq > 1.5 * par;
   printf("  [%s] parallel recovery is at least 1.5x faster\n",
-         seq > 1.5 * par ? "PASS" : "FAIL");
+         parallel_ok ? "PASS" : "FAIL");
 
   printf("\n[2] DV granularity: peer crash that only 1 of 9 sessions "
          "depends on:\n");
@@ -202,16 +207,15 @@ void Run() {
   t2.AddRow({"MSP-wide DV", std::to_string(mw.replayed),
              std::to_string(mw.dv_entries)});
   t2.Print();
+  const bool dv_ok = ps.replayed < mw.replayed;
   printf("  [%s] per-session DVs avoid unnecessary rollback "
          "(%llu vs %llu replayed)\n",
-         ps.replayed < mw.replayed ? "PASS" : "FAIL",
+         dv_ok ? "PASS" : "FAIL",
          (unsigned long long)ps.replayed, (unsigned long long)mw.replayed);
+  return parallel_ok && dv_ok;
 }
 
 }  // namespace
 }  // namespace msplog
 
-int main() {
-  msplog::Run();
-  return 0;
-}
+int main() { return msplog::Run() ? 0 : 1; }

@@ -22,6 +22,10 @@ void PositionStream::Add(uint64_t lsn) {
 void PositionStream::FlushBufferLocked() {
   mu_.AssertHeld();
   if (persisted_count_ == positions_.size()) return;
+  if (file_stale_) {
+    disk_->Truncate(file_, 0);
+    file_stale_ = false;
+  }
   BinaryWriter w;
   for (size_t i = persisted_count_; i < positions_.size(); ++i) {
     w.PutU64(positions_[i]);
@@ -44,6 +48,7 @@ void PositionStream::Truncate() {
   audit::LockGuard lk(mu_);
   positions_.clear();
   persisted_count_ = 0;
+  file_stale_ = false;
   // audit:allow(blocking-under-lock): memory and file must change together.
   disk_->Truncate(file_, 0);
 }
@@ -60,31 +65,37 @@ void PositionStream::RemoveRange(uint64_t from_lsn, uint64_t to_lsn) {
   // audit:allow(blocking-under-lock): memory and file must change together.
   disk_->Truncate(file_, 0);
   persisted_count_ = 0;
+  file_stale_ = false;
   FlushBufferLocked();
 }
 
 void PositionStream::ReplaceAll(std::vector<uint64_t> positions) {
   audit::LockGuard lk(mu_);
   positions_ = std::move(positions);
-  // audit:allow(blocking-under-lock): memory and file must change together.
-  disk_->Truncate(file_, 0);
   persisted_count_ = 0;  // re-persisted lazily as the buffer refills
+  file_stale_ = true;
 }
 
 void PositionStream::Discard() {
   audit::LockGuard lk(mu_);
   positions_.clear();
   persisted_count_ = 0;
+  file_stale_ = false;
   // audit:allow(blocking-under-lock): memory and file must change together.
   disk_->Delete(file_);
 }
 
 Status PositionStream::LoadPersisted(std::vector<uint64_t>* out) const {
   out->clear();
-  if (!disk_->Exists(file_)) return Status::OK();
+  size_t count = 0;
+  {
+    audit::LockGuard lk(mu_);
+    count = persisted_count_;
+  }
+  if (count == 0) return Status::OK();
   Bytes raw;
   MSPLOG_RETURN_IF_ERROR(
-      disk_->ReadAt(file_, 0, disk_->FileSize(file_), &raw));
+      disk_->ReadAt(file_, 0, count * sizeof(uint64_t), &raw));
   BinaryReader r(raw);
   while (!r.AtEnd()) {
     uint64_t v = 0;

@@ -41,13 +41,15 @@ class PositionStream {
   void RemoveRange(uint64_t from_lsn, uint64_t to_lsn);
 
   /// Replace the whole stream (crash-recovery reconstruction, §4.3).
-  /// Does not touch the disk file; the stream restarts memory-only.
+  /// Does not touch the disk file: the stream restarts memory-only, and the
+  /// stale file is truncated at the next buffer flush.
   void ReplaceAll(std::vector<uint64_t> positions);
 
   /// Delete the backing file (session end).
   void Discard();
 
-  /// Read back only what is persisted on disk (tests / fidelity checks).
+  /// Read back the prefix of this stream persisted on disk (tests /
+  /// fidelity checks).
   Status LoadPersisted(std::vector<uint64_t>* out) const;
 
  private:
@@ -62,6 +64,8 @@ class PositionStream {
   std::vector<uint64_t> positions_ GUARDED_BY(mu_);
   /// Prefix of positions_ already on disk.
   size_t persisted_count_ GUARDED_BY(mu_) = 0;
+  /// The file still holds positions from before ReplaceAll.
+  bool file_stale_ GUARDED_BY(mu_) = false;
 };
 
 }  // namespace msplog

@@ -10,8 +10,9 @@ namespace msplog {
 // ReplayCursor
 // ---------------------------------------------------------------------------
 
-ReplayCursor::ReplayCursor(LogFile* log, std::vector<uint64_t> positions)
-    : log_(log), positions_(std::move(positions)) {}
+ReplayCursor::ReplayCursor(LogFile* log, std::vector<uint64_t> positions,
+                           const ScanImage* image)
+    : log_(log), positions_(std::move(positions)), image_(image) {}
 
 Status ReplayCursor::Peek(LogRecord* out) {
   if (!HasNext()) return Status::NotFound("cursor exhausted");
@@ -21,7 +22,9 @@ Status ReplayCursor::Peek(LogRecord* out) {
     return Status::OK();
   }
   Status st;
-  if (lsn >= log_->durable_lsn()) {
+  if (image_ != nullptr && image_->Holds(lsn)) {
+    st = image_->ReadRecordAt(lsn, out);
+  } else if (lsn >= log_->durable_lsn()) {
     // Still in the volatile buffer: a memory read.
     st = log_->ReadRecordAt(lsn, out);
   } else {

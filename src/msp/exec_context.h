@@ -29,13 +29,18 @@
 
 namespace msplog {
 
-/// Iterates a session's log records along its position stream, reading the
-/// durable region in 64 KB chunks (one disk read can serve many records —
-/// the efficiency the paper measures in §5.4) and the volatile buffer
-/// directly.
+struct ScanImage;
+
+/// Iterates a session's log records along its position stream. A record
+/// inside `image`, the range the analysis scan read, is parsed from memory;
+/// one in the volatile buffer is read directly; any other durable record
+/// (past the scanned range, or after the image is gone) is read from disk in
+/// 64 KB chunks, so one disk read can serve many records (the efficiency
+/// the paper measures in §5.4).
 class ReplayCursor {
  public:
-  ReplayCursor(LogFile* log, std::vector<uint64_t> positions);
+  ReplayCursor(LogFile* log, std::vector<uint64_t> positions,
+               const ScanImage* image = nullptr);
 
   bool HasNext() const { return idx_ < positions_.size(); }
   /// Read (without consuming) the record at the current position.
@@ -50,6 +55,7 @@ class ReplayCursor {
 
   LogFile* log_;
   std::vector<uint64_t> positions_;
+  const ScanImage* image_;
   size_t idx_ = 0;
   Bytes chunk_;
   uint64_t chunk_base_ = 0;

@@ -566,6 +566,7 @@ Status Msp::ProcessRequestLogBased(Session* s, const Message& m,
     }
     AppendSessionRecord(s, std::move(rec));
     if (m.has_dv) s->dv.Merge(m.dv);
+    PublishDv(s);
   }
 
   // Execute the service method.
@@ -584,6 +585,7 @@ Status Msp::ProcessRequestLogBased(Session* s, const Message& m,
   s->stats.OnRequestFanout(s->calls_in_request);
   s->calls_in_request = 0;
   s->stats.SetDvEntries(s->dv.entry_count());
+  PublishDv(s);
   if (st.IsOrphan()) return RecoverSessionReplay(s);
   if (st.IsCrashed() || st.IsTimedOut()) return st;
 
@@ -643,14 +645,14 @@ Status Msp::SendReply(Session* s, ReplyCode code, const Bytes& payload,
         dv_wire = &s->CachedDvWire();
         env_->stats().dv_entries_attached.fetch_add(s->dv.entry_count());
       } else {
-        r.dv = MspWideDv();
+        r.dv = MspWideDv(s);
         env_->stats().dv_entries_attached.fetch_add(r.dv.entry_count());
       }
       s->stats.OnPiggybackedSend();
     } else {
       // Pessimistic: output messages must never become orphans (§2.3).
       DependencyVector flush_dv =
-          config_.per_session_dv ? s->dv : MspWideDv();
+          config_.per_session_dv ? s->dv : MspWideDv(s);
       MSPLOG_RETURN_IF_ERROR(DistributedFlush(flush_dv, span, s));
       audit::CheckWalBeforeSend("reply to " + s->client, config_.id,
                                 epoch_.load(), flush_dv,
@@ -1033,7 +1035,7 @@ Status Msp::OutgoingCallImpl(Session* s, const std::string& target,
         dv_wire = &s->CachedDvWire();
         env_->stats().dv_entries_attached.fetch_add(s->dv.entry_count());
       } else {
-        req.dv = MspWideDv();
+        req.dv = MspWideDv(s);
         env_->stats().dv_entries_attached.fetch_add(req.dv.entry_count());
       }
       s->stats.OnPiggybackedSend();
@@ -1041,7 +1043,7 @@ Status Msp::OutgoingCallImpl(Session* s, const std::string& target,
       // Pessimistic leg: flush our dependencies before the message leaves
       // the service domain (Fig. 7, "before send, across service domains").
       DependencyVector flush_dv =
-          config_.per_session_dv ? s->dv : MspWideDv();
+          config_.per_session_dv ? s->dv : MspWideDv(s);
       MSPLOG_RETURN_IF_ERROR(DistributedFlush(flush_dv, parent_span, s));
       audit::CheckWalBeforeSend("call to " + target, config_.id,
                                 epoch_.load(), flush_dv,
@@ -1069,6 +1071,7 @@ Status Msp::OutgoingCallImpl(Session* s, const std::string& target,
     }
     AppendSessionRecord(s, rec);
     if (rep.has_dv) s->dv.Merge(rep.dv);
+    PublishDv(s);
   }
   o.next_seqno = seqno + 1;
   *reply = rep.payload;
@@ -1354,20 +1357,29 @@ bool Msp::DvIsOrphan(const DependencyVector& dv) const {
   return recovered_table_.IsOrphanDv(dv);
 }
 
-DependencyVector Msp::MspWideDv() const {
-  DependencyVector all;
+DependencyVector Msp::MspWideDv(const Session* self) const {
+  // Another session's live DV belongs to its owner thread, which may be
+  // rewriting it right now (a replay clears it); only its published copy,
+  // guarded by the session-table mutex, is safe to read here.
+  DependencyVector all = self->dv;
   audit::LockGuard lk(sessions_mu_);
   for (const auto& [id, sess] : sessions_) {
-    if (!sess->ended) all.Merge(sess->dv);
+    if (sess.get() != self && !sess->ended) all.Merge(sess->published_dv);
   }
   return all;
+}
+
+void Msp::PublishDv(Session* s) {
+  if (config_.per_session_dv) return;
+  audit::LockGuard lk(sessions_mu_);
+  s->published_dv = s->dv;
 }
 
 bool Msp::SessionIsOrphan(const Session* s) const {
   if (!config_.per_session_dv) {
     // §3.2 strawman: one DV for the whole MSP — if ANY session carries an
     // orphan dependency, every session is considered orphan and rolls back.
-    return DvIsOrphan(MspWideDv());
+    return DvIsOrphan(MspWideDv(s));
   }
   return DvIsOrphan(s->dv);
 }

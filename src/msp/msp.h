@@ -62,6 +62,7 @@ namespace msplog {
 class ExecContext;
 class ReplayCursor;
 class RecoveryCoordinator;
+struct ScanImage;
 
 /// Typed designator for Msp::ForceCheckpoint — the one entry point behind
 /// which the three checkpoint kinds of §3.4 (whole-MSP fuzzy checkpoint,
@@ -271,8 +272,13 @@ class Msp {
   // ---- orphan machinery ----
   bool SessionIsOrphan(const Session* s) const;
   /// Ablation (per_session_dv = false): the union of every live session's
-  /// DV — the single process-wide vector of the §3.2 strawman.
-  DependencyVector MspWideDv() const;
+  /// DV — the single process-wide vector of the §3.2 strawman. Reads the
+  /// live DV of `self` only (the caller owns it) and the DVs the other
+  /// sessions last published.
+  DependencyVector MspWideDv(const Session* self) const;
+  /// Ablation only: publish `s`'s DV to the MSP-wide union. Owner thread;
+  /// a no-op with per-session DVs.
+  void PublishDv(Session* s);
   bool DvIsOrphan(const DependencyVector& dv) const;
   /// Roll `var` back along its backward write chain to the most recent
   /// non-orphan value (§4.2). Caller holds the variable's unique lock.
@@ -301,10 +307,13 @@ class Msp {
   /// recovery) in the recovery timeline.
   Status RecoverSessionReplay(Session* s, bool from_crash = false);
   /// One replay pass from the latest checkpoint along the position stream.
+  /// Records inside `image` (the crash recovery's scanned range, or null)
+  /// are parsed from memory instead of read from disk.
   /// `replayed_out`, when set, accumulates the number of requests replayed.
   /// `prov`, when set, is overwritten with this pass's provenance (the
   /// checkpoint initialized from and every request record consumed).
-  Status ReplayOnce(Session* s, uint64_t* replayed_out = nullptr,
+  Status ReplayOnce(Session* s, const ScanImage* image,
+                    uint64_t* replayed_out = nullptr,
                     obs::RecoveryTimeline::SessionProvenance* prov = nullptr);
   /// Claim-and-replay one session (no-op if it already replayed or another
   /// replay owns it). `on_demand` marks admissions triggered by a live

@@ -7,6 +7,7 @@
 
 #include "audit/invariants.h"
 #include "audit/mutex.h"
+#include "log/log_scanner.h"
 #include "msp/exec_context.h"
 #include "msp/msp.h"
 #include "msp/recovery_coordinator.h"
@@ -62,6 +63,7 @@ void Msp::SessionRecoveryTask(std::shared_ptr<Session> s, bool on_demand) {
     ++last_recovery_timeline_.on_demand_replays;
   }
   (void)RecoverSessionReplay(s.get(), /*from_crash=*/true);
+  recovery_coordinator_->OnSessionReplayed();
 }
 
 Status Msp::RecoverSessionReplay(Session* s, bool from_crash) {
@@ -83,6 +85,10 @@ Status Msp::RecoverSessionReplay(Session* s, bool from_crash) {
       last_recovery_timeline_.max_parallel_replays = parallel_now;
     }
   }
+  // The analysis scan's bytes, while this recovery still holds them; this
+  // reference keeps them alive to the end of the replay.
+  const std::shared_ptr<const ScanImage> image =
+      recovery_coordinator_ ? recovery_coordinator_->image() : nullptr;
   uint64_t requests_replayed = 0;
   // Delta over this replay distinguishes a clean "replayed" fate from an
   // "orphaned" one in the outage report (the field is owner-thread only,
@@ -99,7 +105,7 @@ Status Msp::RecoverSessionReplay(Session* s, bool from_crash) {
     }
     // Each pass overwrites the provenance; the final converged pass is the
     // one that actually rebuilt the session, which is what we keep.
-    st = ReplayOnce(s, &requests_replayed, &prov);
+    st = ReplayOnce(s, image.get(), &requests_replayed, &prov);
     if (st.IsOrphan()) continue;  // orphaned again mid-replay: start over
     if (!st.ok()) break;
     // §4.1 "Orphan Recovery upon Multiple Crashes": another crash may have
@@ -108,6 +114,7 @@ Status Msp::RecoverSessionReplay(Session* s, bool from_crash) {
     break;
   }
   active_replays_.fetch_sub(1);
+  PublishDv(s);
   if (from_crash) {
     // Count the recovery BEFORE the session becomes servable again (reply
     // resend / worker arming below): an observer that just completed a
@@ -195,7 +202,8 @@ Status Msp::RecoverSessionReplay(Session* s, bool from_crash) {
   return st;
 }
 
-Status Msp::ReplayOnce(Session* s, uint64_t* replayed_out,
+Status Msp::ReplayOnce(Session* s, const ScanImage* image,
+                       uint64_t* replayed_out,
                        obs::RecoveryTimeline::SessionProvenance* prov) {
   // 1. Initialize from the most recent session checkpoint (§4.1).
   uint64_t cp_lsn = s->last_checkpoint_lsn.load();
@@ -206,7 +214,9 @@ Status Msp::ReplayOnce(Session* s, uint64_t* replayed_out,
   }
   if (cp_lsn != 0) {
     LogRecord cp;
-    MSPLOG_RETURN_IF_ERROR(log_->ReadRecordAt(cp_lsn, &cp));
+    MSPLOG_RETURN_IF_ERROR(image != nullptr && image->Holds(cp_lsn)
+                               ? image->ReadRecordAt(cp_lsn, &cp)
+                               : log_->ReadRecordAt(cp_lsn, &cp));
     if (cp.type != LogRecordType::kSessionCheckpoint) {
       return Status::Corruption("expected session checkpoint at " +
                                 std::to_string(cp_lsn));
@@ -222,7 +232,7 @@ Status Msp::ReplayOnce(Session* s, uint64_t* replayed_out,
   }
 
   // 2. Redo recovery: replay logged requests along the position stream.
-  ReplayCursor cursor(log_.get(), s->positions.All());
+  ReplayCursor cursor(log_.get(), s->positions.All(), image);
   // Every exit path stamps how far along the stream this pass got.
   auto done = [&](Status st) {
     if (prov) prov->log_records_consumed = cursor.consumed();

@@ -232,6 +232,14 @@ Status RecoveryCoordinator::RunAnalysis() {
     }
     sessions_to_recover_ = m->sessions_.size();
   }
+  // Keep what the scan read for the replays, so none reads the log again.
+  {
+    audit::LockGuard lk(mu_);
+    replays_left_ = sessions_to_recover_;
+    if (replays_left_ > 0) {
+      image_ = std::make_shared<const ScanImage>(scanner.TakeImage());
+    }
+  }
 
   // Outage observatory join (flight recorder × analysis scan): the frozen
   // pre-crash bundle names the sessions that were in flight at the crash;
@@ -369,7 +377,7 @@ void RecoveryCoordinator::BeginBackgroundDrain() {
   });
   size_t pumps;
   {
-    audit::LockGuard lk(queue_mu_);
+    audit::LockGuard lk(mu_);
     for (auto& e : entries) drain_queue_.push_back(std::move(e.id));
     // sequential_recovery is the ablation that replays one session at a
     // time; otherwise drain with the pool's full parallelism (§4.3).
@@ -382,13 +390,23 @@ void RecoveryCoordinator::BeginBackgroundDrain() {
   }
 }
 
+std::shared_ptr<const ScanImage> RecoveryCoordinator::image() const {
+  audit::LockGuard lk(mu_);
+  return image_;
+}
+
+void RecoveryCoordinator::OnSessionReplayed() {
+  audit::LockGuard lk(mu_);
+  if (replays_left_ > 0 && --replays_left_ == 0) image_.reset();
+}
+
 void RecoveryCoordinator::DrainStep() {
   Msp* m = msp_;
   std::shared_ptr<Session> target;
   while (!target) {
     std::string id;
     {
-      audit::LockGuard lk(queue_mu_);
+      audit::LockGuard lk(mu_);
       if (drain_queue_.empty()) return;
       id = std::move(drain_queue_.front());
       drain_queue_.pop_front();
@@ -405,7 +423,7 @@ void RecoveryCoordinator::DrainStep() {
   m->SessionRecoveryTask(target);
   bool more;
   {
-    audit::LockGuard lk(queue_mu_);
+    audit::LockGuard lk(mu_);
     more = !drain_queue_.empty();
   }
   // Resubmit instead of looping: yielding the pool thread between sessions

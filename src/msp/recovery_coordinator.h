@@ -6,7 +6,8 @@
 //                               re-initialization from the MSP checkpoint,
 //                               and ONE bounded analysis scan that builds
 //                               every session's replay work-list (position
-//                               stream). No session is replayed here.
+//                               stream) and keeps the bytes it read. No
+//                               session is replayed here.
 //   2. PrepareOpen()          — recovery broadcast to the service domain and
 //                               a fresh MSP checkpoint; after this the
 //                               server is ready to accept traffic even
@@ -21,6 +22,10 @@
 //                               (Msp::HandleRequestMsg admission gate) —
 //                               waits behind at most one background replay.
 //
+// The log is read once: every replay of this recovery, drain or on demand,
+// parses its records from the scan's bytes (image()), shared read-only until
+// the last session has replayed.
+//
 // A coordinator instance drives exactly one recovery; Msp::Start creates a
 // fresh one per boot. Pool tasks capture the coordinator raw: Crash/Shutdown
 // join the pool before the next Start can replace the instance.
@@ -28,6 +33,7 @@
 
 #include <cstdint>
 #include <deque>
+#include <memory>
 #include <string>
 
 #include "audit/mutex.h"
@@ -36,6 +42,7 @@
 namespace msplog {
 
 class Msp;
+struct ScanImage;
 
 class RecoveryCoordinator {
  public:
@@ -59,6 +66,13 @@ class RecoveryCoordinator {
   /// not-yet-replayed sessions in the background, smallest work-list first.
   void BeginBackgroundDrain();
 
+  /// The durable range the analysis scan read, for this recovery's replays;
+  /// null once every session has replayed.
+  std::shared_ptr<const ScanImage> image() const;
+
+  /// Count one finished crash replay; the last session's drops the image.
+  void OnSessionReplayed();
+
  private:
   /// One background drain step: claim and replay the next pending session
   /// from the priority queue, then resubmit itself while work remains.
@@ -69,9 +83,12 @@ class RecoveryCoordinator {
   uint64_t msp_cp_lsn_ = 0;    ///< anchor's MSP checkpoint at boot
   uint64_t sessions_to_recover_ = 0;
 
-  audit::Mutex queue_mu_{"recovery_coordinator.queue"};
+  mutable audit::Mutex mu_{"recovery_coordinator"};
   /// Session ids still awaiting a background replay, priority order.
-  std::deque<std::string> drain_queue_ GUARDED_BY(queue_mu_);
+  std::deque<std::string> drain_queue_ GUARDED_BY(mu_);
+  std::shared_ptr<const ScanImage> image_ GUARDED_BY(mu_);
+  /// Sessions of this recovery not yet replayed; the image lives until 0.
+  uint64_t replays_left_ GUARDED_BY(mu_) = 0;
 };
 
 }  // namespace msplog

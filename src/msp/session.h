@@ -62,6 +62,10 @@ class Session {
 
   // ---- recovery bookkeeping ----
   DependencyVector dv;       ///< per-session DV (§3.2), includes self entry
+  /// Ablation only (per_session_dv = false): the copy of `dv` that other
+  /// sessions merge into the MSP-wide DV. Guarded by the MSP's session-table
+  /// mutex; the owner republishes it after its DV changes.
+  DependencyVector published_dv;
   /// Auditor shadow of `dv` as of the last request boundary (or replay
   /// end). The dv-monotonic invariant check compares against it on the next
   /// request: outside recovery, a DV may only grow (audit/invariants.h).

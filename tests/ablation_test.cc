@@ -4,7 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <string>
 #include <thread>
+#include <tuple>
+#include <vector>
 
 #include "msp/msp.h"
 #include "msp/service_domain.h"
@@ -16,17 +19,20 @@
 namespace msplog {
 namespace {
 
-// Two sessions at alpha: one depends on beta (via relay), one is purely
+// Sessions at alpha: one depends on beta (via relay), the others are purely
 // local. Beta crashes while the dependent session's dependency is
 // unflushed. With per-session DVs only the dependent session replays; with
-// the MSP-wide strawman both do.
-class DvGranularityTest : public ::testing::TestWithParam<bool> {
+// the MSP-wide strawman every session does. Parameters: per-session DVs,
+// and the number of independent sessions (with several, their replays run
+// concurrently on alpha's pool).
+class DvGranularityTest
+    : public ::testing::TestWithParam<std::tuple<bool, int>> {
  protected:
   DvGranularityTest()
       : env_(0.0), net_(&env_), disk_a_(&env_, "da"), disk_b_(&env_, "db") {}
 
   void SetUp() override {
-    bool per_session = GetParam();
+    bool per_session = std::get<0>(GetParam());
     directory_.Assign("alpha", "dom");
     directory_.Assign("beta", "dom");
     MspConfig ca, cb;
@@ -81,15 +87,18 @@ class DvGranularityTest : public ::testing::TestWithParam<bool> {
 };
 
 TEST_P(DvGranularityTest, IndependentSessionRollbackOnlyWithPerSessionDvs) {
-  bool per_session = GetParam();
+  const auto [per_session, independent] = GetParam();
   ClientEndpoint c1(&env_, &net_, "dep");
   ClientEndpoint c2(&env_, &net_, "indep");
-  auto s2 = c2.StartSession("alpha");
+  std::vector<ClientSession> indep;
   Bytes reply;
-  for (int i = 1; i <= 5; ++i) {
-    ASSERT_TRUE(c2.Call(&s2, "local_count", "", &reply).ok());
+  for (int k = 0; k < independent; ++k) {
+    indep.push_back(c2.StartSession("alpha"));
+    for (int i = 1; i <= 5; ++i) {
+      ASSERT_TRUE(c2.Call(&indep.back(), "local_count", "", &reply).ok());
+    }
+    EXPECT_EQ(reply, "5");
   }
-  EXPECT_EQ(reply, "5");
 
   // Dependent session parks with an unflushed dependency on beta.
   gate_.store(true);
@@ -110,10 +119,12 @@ TEST_P(DvGranularityTest, IndependentSessionRollbackOnlyWithPerSessionDvs) {
   gate_.store(false);
   t.join();
 
-  // The independent session keeps working and its state is intact in both
-  // modes — correctness is never at stake, only wasted work.
-  ASSERT_TRUE(c2.Call(&s2, "local_count", "", &reply).ok());
-  EXPECT_EQ(reply, "6");
+  // The independent sessions keep working and their state is intact in
+  // both modes — correctness is never at stake, only wasted work.
+  for (auto& s : indep) {
+    ASSERT_TRUE(c2.Call(&s, "local_count", "", &reply).ok());
+    EXPECT_EQ(reply, "6");
+  }
 
   uint64_t replayed = env_.stats().requests_replayed.load() - replayed_before;
   if (per_session) {
@@ -121,17 +132,20 @@ TEST_P(DvGranularityTest, IndependentSessionRollbackOnlyWithPerSessionDvs) {
     EXPECT_LE(replayed, 2u);
   } else {
     // §3.2: "If only one DV is maintained ... all its sessions will roll
-    // back, possibly unnecessarily" — the independent session's 5 requests
-    // replay too.
-    EXPECT_GE(replayed, 5u);
+    // back, possibly unnecessarily" — every independent session's 5
+    // requests replay too.
+    EXPECT_GE(replayed, 5u * independent);
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Granularity, DvGranularityTest,
-                         ::testing::Values(true, false),
-                         [](const ::testing::TestParamInfo<bool>& info) {
-                           return info.param ? "PerSessionDv" : "MspWideDv";
-                         });
+INSTANTIATE_TEST_SUITE_P(
+    Granularity, DvGranularityTest,
+    ::testing::Combine(::testing::Values(true, false), ::testing::Values(1, 8)),
+    [](const ::testing::TestParamInfo<std::tuple<bool, int>>& info) {
+      return std::string(std::get<0>(info.param) ? "PerSessionDv"
+                                                 : "MspWideDv") +
+             std::to_string(std::get<1>(info.param)) + "Independent";
+    });
 
 // ---------------------------------------------------------------------------
 // Sequential vs parallel session recovery: same end state either way.

@@ -8,6 +8,7 @@
 // archived segments still merge into a clean, inspectable image.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <fstream>
 #include <memory>
@@ -70,6 +71,17 @@ class InstantRestartTest : public ::testing::Test {
           *result = std::to_string(n + 1);
           return Status::OK();
         });
+  }
+
+  /// Wait until `n` more sessions than `before` have finished their crash
+  /// replay (drain or on demand).
+  void WaitForReplays(uint64_t before, uint64_t n) {
+    const auto give_up =
+        std::chrono::steady_clock::now() + std::chrono::seconds(30);
+    while (env_.stats().sessions_recovered.load() - before < n) {
+      ASSERT_LT(std::chrono::steady_clock::now(), give_up);
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
   }
 
   SimEnvironment env_;
@@ -199,6 +211,158 @@ TEST_F(InstantRestartTest, RecrashDuringIncrementalRecovery) {
     ASSERT_NE(mine, nullptr) << live.session_id;
     EXPECT_EQ(mine->fate, live.fate) << live.session_id;
   }
+  EXPECT_EQ(audit::InvariantRegistry::Instance().total_violations(), 0u);
+}
+
+// The log is read once per recovery: every replay, drain and on demand,
+// parses its records from the bytes the analysis scan read. The sessions'
+// requests interleave in the log, and two sessions replay from a session
+// checkpoint, which comes from the same bytes. From the return of Start()
+// to the end of the drain the log disk serves no read at all.
+TEST_F(InstantRestartTest, ReplaysReadNothingFromDisk) {
+  MspConfig c = BaseConfig();
+  c.thread_pool_size = 2;
+  StartMsp(c);
+
+  ClientEndpoint client(&env_, &net_, "cli");
+  constexpr int kSessions = 6;
+  constexpr int kRounds = 5;
+  std::vector<ClientSession> sessions;
+  for (int s = 0; s < kSessions; ++s) {
+    sessions.push_back(client.StartSession("alpha"));
+  }
+  Bytes reply;
+  for (int r = 0; r < kRounds; ++r) {
+    for (auto& s : sessions) {
+      ASSERT_TRUE(client.Call(&s, "slow_counter", "", &reply).ok());
+    }
+    if (r == 2) {
+      for (int s = 0; s < 2; ++s) {
+        ASSERT_TRUE(msp_->ForceCheckpoint(
+                            CheckpointTarget::Session(sessions[s].session_id))
+                        .ok());
+      }
+    }
+  }
+
+  msp_->Crash();
+  const uint64_t recovered_before = env_.stats().sessions_recovered.load();
+  ASSERT_TRUE(msp_->Start().ok());
+  const uint64_t reads_at_open = env_.stats().disk_reads.load();
+
+  // An on-demand admission reads from the same bytes as the drain.
+  ASSERT_TRUE(client.Call(&sessions.back(), "slow_counter", "", &reply).ok());
+  EXPECT_EQ(reply, std::to_string(kRounds + 1));
+  WaitForReplays(recovered_before, kSessions);
+  EXPECT_EQ(env_.stats().disk_reads.load(), reads_at_open);
+
+  // Every session continues at its exact next seqno and state.
+  for (int s = 0; s < kSessions; ++s) {
+    ASSERT_TRUE(client.Call(&sessions[s], "slow_counter", "", &reply).ok());
+    EXPECT_EQ(reply, std::to_string(kRounds + (s == kSessions - 1 ? 2 : 1)));
+  }
+  const obs::RecoveryTimeline tl = msp_->LastRecoveryTimeline();
+  EXPECT_EQ(tl.sessions_to_recover, static_cast<uint64_t>(kSessions));
+  EXPECT_GE(tl.on_demand_replays, 1u);
+  EXPECT_EQ(audit::InvariantRegistry::Instance().total_violations(), 0u);
+}
+
+// Once every session has replayed, the recovery drops the scanned bytes. A
+// later lazy orphan replay, forced by a peer crash, reads its pre-restart
+// records from disk and its post-restart records from the live log, and
+// still converges to the exact state.
+TEST_F(InstantRestartTest, LazyOrphanReplayAfterTheDrainReadsFromDisk) {
+  SimDisk disk_b(&env_, "db");
+  MspConfig cb = BaseConfig();
+  cb.id = "beta";
+  cb.flush_timeout_ms = 20;
+  directory_.Assign("beta", "domA");
+  Msp beta(&env_, &net_, &disk_b, &directory_, cb);
+  beta.RegisterMethod("bcounter",
+                      [](ServiceContext* ctx, const Bytes&, Bytes* r) {
+                        Bytes cur = ctx->GetSessionVar("n");
+                        int n = cur.empty() ? 0 : std::stoi(cur);
+                        ctx->SetSessionVar("n", std::to_string(n + 1));
+                        *r = std::to_string(n + 1);
+                        return Status::OK();
+                      });
+  ASSERT_TRUE(beta.Start().ok());
+
+  MspConfig c = BaseConfig();
+  c.flush_timeout_ms = 20;
+  directory_.Assign(c.id, "domA");
+  msp_ = std::make_unique<Msp>(&env_, &net_, &disk_, &directory_, c);
+  Register(msp_.get());
+  // Counts locally, then calls beta and, in normal execution, parks until
+  // the test opens the gate: the reply from beta stays an unflushed
+  // dependency until then.
+  std::atomic<bool> gate{true}, held{false};
+  msp_->RegisterMethod(
+      "relay_gated", [&](ServiceContext* ctx, const Bytes&, Bytes* r) {
+        Bytes cur = ctx->GetSessionVar("n");
+        const int n = (cur.empty() ? 0 : std::stoi(cur)) + 1;
+        ctx->SetSessionVar("n", std::to_string(n));
+        Bytes reply;
+        MSPLOG_RETURN_IF_ERROR(ctx->Call("beta", "bcounter", "", &reply));
+        if (!ctx->in_replay()) {
+          held.store(true);
+          while (gate.load()) {
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+          }
+        }
+        *r = std::to_string(n) + "/" + reply;
+        return Status::OK();
+      });
+  ASSERT_TRUE(msp_->Start().ok());
+
+  ClientEndpoint client(&env_, &net_, "cli");
+  ClientSession session = client.StartSession("alpha");
+  Bytes reply;
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_TRUE(client.Call(&session, "slow_counter", "", &reply).ok());
+  }
+  msp_->Crash();
+  const uint64_t recovered_before = env_.stats().sessions_recovered.load();
+  ASSERT_TRUE(msp_->Start().ok());
+  WaitForReplays(recovered_before, 1);
+
+  // Post-restart: the session takes an unflushed dependency on beta, and
+  // beta crashes before flushing it.
+  Status call_st;
+  std::thread caller(
+      [&] { call_st = client.Call(&session, "relay_gated", "", &reply); });
+  while (!held.load()) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  beta.Crash();
+  const Status beta_st = beta.Start();
+  const uint64_t reads_before = env_.stats().disk_reads.load();
+  gate.store(false);
+  caller.join();
+  ASSERT_TRUE(beta_st.ok()) << beta_st.ToString();
+  // beta lost the session, so it replays nothing: every read below is the
+  // orphan replay's.
+  EXPECT_EQ(beta.LastRecoveryTimeline().sessions_to_recover, 0u);
+  ASSERT_TRUE(call_st.ok()) << call_st.ToString();
+  EXPECT_EQ(reply, "4/1");
+
+  // The orphan replay re-ran all four requests, the three pre-restart ones
+  // from disk.
+  EXPECT_GT(env_.stats().disk_reads.load(), reads_before);
+  const obs::RecoveryTimeline tl = msp_->LastRecoveryTimeline();
+  bool lazy = false;
+  for (const auto& r : tl.session_replays) {
+    if (!r.from_crash && r.converged && r.requests_replayed >= 4) lazy = true;
+  }
+  EXPECT_TRUE(lazy);
+  EXPECT_GE(tl.orphan_events, 1u);
+
+  ASSERT_TRUE(client.Call(&session, "slow_counter", "", &reply).ok());
+  EXPECT_EQ(reply, "5");
+  ASSERT_TRUE(client.Call(&session, "relay_gated", "", &reply).ok());
+  EXPECT_EQ(reply, "6/2");
+  msp_->Shutdown();
+  beta.Shutdown();
   EXPECT_EQ(audit::InvariantRegistry::Instance().total_violations(), 0u);
 }
 

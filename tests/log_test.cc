@@ -292,6 +292,53 @@ TEST_F(LogFileTest, ScannerStopsAtCorruptTail) {
   EXPECT_TRUE(scanner.Next(&r).IsCorruption());
 }
 
+// The scan reads each byte of [start, durable) once, in kChunkBytes pieces,
+// and hands the bytes over: they equal a plain read of the range, and every
+// record parses from them, CRC-checked.
+TEST_F(LogFileTest, ScannerHandsOverTheRangeItRead) {
+  LogFile log(&env_, &disk_, "log");
+  std::vector<uint64_t> lsns;
+  for (int batch = 0; batch < 40; ++batch) {
+    for (int i = 0; i < 8; ++i) {
+      lsns.push_back(log.Append(MakeRequestRecord(
+          "s", lsns.size(), "m", MakePayload(700, lsns.size()))));
+    }
+    ASSERT_TRUE(log.FlushAll().ok());  // sector padding between batches
+  }
+  constexpr size_t kFirst = 3;  // start mid-sector, past the first records
+  const uint64_t start = lsns[kFirst];
+  const uint64_t durable = disk_.FileSize("log");
+  const uint64_t range = durable - start;
+  ASSERT_GT(range, 3 * LogScanner::kChunkBytes);
+
+  const uint64_t reads_before = env_.stats().disk_reads.load();
+  LogScanner scanner(&disk_, "log", start, durable);
+  LogRecord r;
+  size_t n = 0;
+  while (scanner.Next(&r).ok()) ++n;
+  EXPECT_EQ(n, lsns.size() - kFirst);
+  EXPECT_EQ(env_.stats().disk_reads.load() - reads_before,
+            (range + LogScanner::kChunkBytes - 1) / LogScanner::kChunkBytes);
+
+  const ScanImage image = scanner.TakeImage();
+  EXPECT_EQ(image.base, start);
+  Bytes expected;
+  ASSERT_TRUE(disk_.ReadAt("log", start, range, &expected).ok());
+  EXPECT_TRUE(image.bytes == expected);
+  for (size_t i = kFirst; i < lsns.size(); ++i) {
+    ASSERT_TRUE(image.Holds(lsns[i]));
+    ASSERT_TRUE(image.ReadRecordAt(lsns[i], &r).ok());
+    EXPECT_EQ(r.seqno, i);
+    EXPECT_EQ(r.lsn, lsns[i]);
+  }
+  EXPECT_FALSE(image.Holds(lsns[kFirst - 1]));
+  EXPECT_FALSE(image.Holds(durable));
+
+  ScanImage flipped = image;
+  flipped.bytes[lsns[kFirst + 1] - start + 12] ^= 0x55;
+  EXPECT_TRUE(flipped.ReadRecordAt(lsns[kFirst + 1], &r).IsCorruption());
+}
+
 TEST(LogAnchorTest, RoundTripAndMissing) {
   SimEnvironment env(0.0);
   SimDisk disk(&env, "d");
@@ -370,15 +417,27 @@ TEST(PositionStreamTest, RemoveRangeCutsOrphanSpan) {
   EXPECT_EQ(all[3], 70u);
 }
 
+// ReplaceAll writes nothing: the stale file is truncated at the next buffer
+// flush, and LoadPersisted reports only what this stream persisted.
 TEST(PositionStreamTest, ReplaceAllAfterCrashReconstruction) {
   SimEnvironment env(0.0);
   SimDisk disk(&env, "d");
   PositionStream ps(&disk, "pos", 2);
   for (uint64_t i = 0; i < 6; ++i) ps.Add(i);
+  const uint64_t flushes = env.stats().disk_flushes.load();
   ps.ReplaceAll({100, 200, 300});
+  EXPECT_EQ(env.stats().disk_flushes.load(), flushes);
   auto all = ps.All();
   ASSERT_EQ(all.size(), 3u);
   EXPECT_EQ(all[0], 100u);
+  std::vector<uint64_t> persisted;
+  ASSERT_TRUE(ps.LoadPersisted(&persisted).ok());
+  EXPECT_TRUE(persisted.empty());
+
+  ps.Add(400);  // back at capacity: truncate, then persist the new stream
+  ASSERT_TRUE(ps.LoadPersisted(&persisted).ok());
+  EXPECT_EQ(persisted, (std::vector<uint64_t>{100, 200, 300, 400}));
+  EXPECT_EQ(disk.FileSize("pos"), 4 * sizeof(uint64_t));
 }
 
 }  // namespace
