@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "obs/json.h"
+#include "sim/sim_env.h"
 
 namespace msplog {
 namespace bench {
@@ -93,20 +94,7 @@ inline void AddTracerHealth(obs::Json* j, uint64_t dropped) {
 /// True when this binary is instrumented by TSan/ASan: model time is
 /// wall-clock derived, and instrumentation slows everything ~10-20x, so
 /// timing metrics from such a build are not comparable to native baselines.
-/// Mirrors SimEnvironment::kFastWaitFloorMs's detection.
-inline constexpr bool UnderSanitizer() {
-#if defined(__SANITIZE_THREAD__) || defined(__SANITIZE_ADDRESS__)
-  return true;
-#elif defined(__has_feature)
-#if __has_feature(thread_sanitizer) || __has_feature(address_sanitizer)
-  return true;
-#else
-  return false;
-#endif
-#else
-  return false;
-#endif
-}
+inline constexpr bool UnderSanitizer() { return SimEnvironment::kSanitized; }
 
 /// Print the canonical machine-readable line for bench `name`. Every blob
 /// carries `sanitized` so the compare_bench oracle can skip its wall-time

@@ -14,7 +14,9 @@
 //
 // Concurrency effects are preserved because the sleeps are real: parallel
 // distributed log flushes overlap, a single simulated disk serializes its
-// I/Os (mutex held across the sleep), and thread pools saturate naturally.
+// I/Os (mutex held across the sleep), thread pools saturate naturally, and
+// every receiving thread sleeps until its next message's arrival time, so
+// messages in flight overlap with each other and with the receiver's work.
 #pragma once
 
 #include <atomic>
@@ -112,23 +114,32 @@ class SimEnvironment {
   /// Returns elapsed real ms when the scale is zero.
   double NowModelMs() const;
 
+  /// Sets the calling thread's kernel timer slack to its minimum, once per
+  /// thread, so its timed waits end within a few µs of their deadline
+  /// instead of the default 50 µs late. For threads that sleep until a
+  /// model-time deadline, such as a message's arrival. Linux only.
+  static void UseFineTimerSlack();
+
+  /// True when TSan/ASan instruments this build: everything runs ~10-20x
+  /// slower, so real-time accuracy is not to be expected.
+  static constexpr bool kSanitized =
+#if defined(__SANITIZE_THREAD__) || defined(__SANITIZE_ADDRESS__)
+      true;
+#elif defined(__has_feature)
+#if __has_feature(thread_sanitizer) || __has_feature(address_sanitizer)
+      true;
+#else
+      false;
+#endif
+#else
+      false;
+#endif
+
   /// Wall-clock floor (ms) for lost-message timeouts when time_scale is 0
   /// ("as fast as possible"). The floor must outlast a healthy peer's
   /// round trip, or resends fire spuriously and corrupt exact-count
-  /// expectations; sanitizer instrumentation slows everything ~10-20x, so
-  /// instrumented builds get a proportionally larger floor.
-  static constexpr int64_t kFastWaitFloorMs =
-#if defined(__SANITIZE_THREAD__) || defined(__SANITIZE_ADDRESS__)
-      40;
-#elif defined(__has_feature)
-#if __has_feature(thread_sanitizer) || __has_feature(address_sanitizer)
-      40;
-#else
-      2;
-#endif
-#else
-      2;
-#endif
+  /// expectations; sanitized builds get a proportionally larger floor.
+  static constexpr int64_t kFastWaitFloorMs = kSanitized ? 40 : 2;
 
   SimStats& stats() { return stats_; }
   const SimStats& stats() const { return stats_; }

@@ -6,19 +6,19 @@
 // processes unregister their endpoint; messages addressed to them vanish,
 // exactly like packets sent to a dead host.
 //
-// Latencies are model milliseconds realized through SimEnvironment. With
-// time_scale = 0 delivery is immediate (but drop/duplicate faults still
-// apply), so unit tests of the retry logic run instantly.
+// Latencies are model milliseconds realized through SimEnvironment. Send
+// stamps each packet with its arrival time and hands it straight to the
+// receiver's Mailbox; the receiving thread itself sleeps until the packet is
+// due. With time_scale = 0 every packet is due when sent and delivery is
+// immediate (but drop/duplicate faults still apply), so unit tests of the
+// retry logic run instantly.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <memory>
-#include <queue>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "audit/mutex.h"
@@ -37,34 +37,72 @@ struct Packet {
   Bytes wire;
 };
 
-/// Per-endpoint receive queue. Closed when the endpoint unregisters.
+/// Per-endpoint receive queue that also times delivery. Closed when the
+/// endpoint unregisters.
 ///
-/// Hot-path shape: Push lands on a lock-free MPSC ring (the delivery thread
-/// and every immediate-delivery sender are producers), so handing a packet
-/// to an endpoint never contends with the consumer. The consumer (the
-/// endpoint's receive loop) spins through TryPop and parks on an
-/// eventcount-style sleep only when empty; producers pay a fence + relaxed
-/// load to detect a sleeping consumer.
+/// One consumer: every endpoint has a single receiving thread (an MSP's
+/// dispatch loop, a client's Call, the state server's loop), and only that
+/// thread calls Pop / PopWithTimeout. Push and Close may come from any
+/// thread.
+///
+/// Hot-path shape: Push lands on a lock-free MPSC ring, so handing a packet
+/// to an endpoint never contends with the consumer. Each packet carries its
+/// arrival time. The consumer moves packets that are not yet due into its
+/// own heap, ordered by arrival time, and sleeps until the earliest one is
+/// due, with its timer slack at the minimum: once a delayed packet is due,
+/// delivering it costs one wakeup, the receiver's own, on time. A packet
+/// due when sent (time_scale 0) skips the heap and the clock read. The
+/// consumer parks on an eventcount-style sleep; producers pay a fence +
+/// relaxed load to detect a sleeping consumer and wake it to take the
+/// packet in.
 class Mailbox {
  public:
-  /// Blocks until a packet arrives or the mailbox closes.
-  /// Returns false when closed and drained.
+  explicit Mailbox(SimEnvironment* env) : env_(env) {}
+
+  /// Blocks until a packet is due or the mailbox closes.
+  /// Returns false when closed.
   bool Pop(Packet* out);
 
   /// Blocks up to `timeout_real_ms`; returns false on timeout or close.
   bool PopWithTimeout(Packet* out, int64_t timeout_real_ms);
 
-  void Push(Packet p);
+  /// Queues `p` for delivery at `due_real_ns` (SimEnvironment::ElapsedRealNs
+  /// clock); 0 means due now. Dropped when the mailbox is closed.
+  void Push(Packet p, uint64_t due_real_ns);
   void Close();
   bool closed() const { return closed_.load(std::memory_order_acquire); }
-  size_t size() const { return queue_.depth(); }
 
  private:
-  MpscQueue<Packet> queue_{256, "mailbox.overflow"};
+  struct Timed {
+    uint64_t due_real_ns = 0;
+    uint64_t seq = 0;  // FIFO tiebreaker, stamped by the consumer
+    Packet packet;
+  };
+  /// Min-heap order on (due_real_ns, seq).
+  struct Later {
+    bool operator()(const Timed& a, const Timed& b) const {
+      if (a.due_real_ns != b.due_real_ns) return a.due_real_ns > b.due_real_ns;
+      return a.seq > b.seq;
+    }
+  };
+  static constexpr uint64_t kNever = UINT64_MAX;
+
+  /// Consumer side of Pop / PopWithTimeout; a negative `timeout_ns` waits
+  /// without a deadline.
+  bool PopWithin(Packet* out, int64_t timeout_ns);
+  /// Consumer only: keeps `t` in the heap until it is due.
+  void Hold(Timed t);
+
+  SimEnvironment* env_;
+  MpscQueue<Timed> queue_{256, "mailbox.overflow"};
   std::atomic<bool> closed_{false};
   std::atomic<int> sleepers_{0};
   mutable audit::Mutex mu_{"mailbox"};
   audit::CondVar cv_;
+  /// Packets not yet due, as a heap on Later. Touched only by the single
+  /// consumer thread, so no lock.
+  std::vector<Timed> pending_;  // audit:allow(guarded-by): consumer only
+  uint64_t next_seq_ = 0;       // audit:allow(guarded-by): consumer only
 };
 
 /// Probabilistic fault injection for a link (directed).
@@ -85,11 +123,14 @@ class SimNetwork {
   std::shared_ptr<Mailbox> Register(const std::string& name);
 
   /// Unregister (crash / shutdown): closes the mailbox; in-flight and future
-  /// packets to this endpoint are dropped.
+  /// packets to this endpoint are dropped. A packet belongs to the
+  /// incarnation registered when it was sent: a later Register of the same
+  /// name does not receive it.
   void Unregister(const std::string& name);
 
   /// Send `wire` from `from` to `to`. Applies link latency, bandwidth and
-  /// fault plan. Returns immediately (delivery is asynchronous).
+  /// fault plan, stamps the arrival time and queues the packet at the
+  /// receiver. Returns immediately (the receiver times delivery).
   void Send(const std::string& from, const std::string& to, Bytes wire);
 
   /// Symmetric one-way latency override for the {a, b} pair.
@@ -121,45 +162,30 @@ class SimNetwork {
   double OneWayMs(const std::string& a, const std::string& b,
                   size_t bytes) const;
 
+  /// Closes every mailbox; idempotent.
   void Shutdown();
 
  private:
-  struct Scheduled {
-    uint64_t due_real_ns;
-    uint64_t seq;  // FIFO tiebreaker
-    Packet packet;
-    bool operator>(const Scheduled& o) const {
-      if (due_real_ns != o.due_real_ns) return due_real_ns > o.due_real_ns;
-      return seq > o.seq;
-    }
-  };
-
-  void DeliveryLoop();
-  void Deliver(Packet p) EXCLUDES(mu_);
+  double OneWayMsLocked(const std::string& a, const std::string& b,
+                        size_t bytes) const REQUIRES(mu_);
   const FaultPlan& FaultsFor(const std::string& from,
                              const std::string& to) const REQUIRES(mu_);
 
   SimEnvironment* env_;
-  /// Model one-way delay per delivered message ("net.delivery_ms").
+  /// Model one-way delay charged to each sent message ("net.delivery_ms").
   obs::Histogram* hist_delivery_ms_;
 
   mutable audit::Mutex mu_{"sim_network"};
-  audit::CondVar cv_;
   double default_one_way_ms_ GUARDED_BY(mu_) = 0.0;
   double bandwidth_mbps_ GUARDED_BY(mu_) = 100.0;
   FaultPlan default_faults_ GUARDED_BY(mu_);
-  bool stop_ GUARDED_BY(mu_) = false;
-  uint64_t next_seq_ GUARDED_BY(mu_) = 0;
   std::map<std::string, std::shared_ptr<Mailbox>> endpoints_
       GUARDED_BY(mu_);
   std::map<std::pair<std::string, std::string>, double> link_latency_
       GUARDED_BY(mu_);
   std::map<std::pair<std::string, std::string>, FaultPlan> faults_
       GUARDED_BY(mu_);
-  std::priority_queue<Scheduled, std::vector<Scheduled>, std::greater<>>
-      schedule_ GUARDED_BY(mu_);
   Rng rng_ GUARDED_BY(mu_);
-  std::thread delivery_thread_;
 };
 
 }  // namespace msplog

@@ -3,11 +3,15 @@
 // injection.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <cstring>
 #include <thread>
+#include <vector>
 
 #include "common/bytes.h"
+#include "common/rng.h"
 #include "sim/sim_disk.h"
 #include "sim/sim_env.h"
 #include "sim/sim_network.h"
@@ -197,9 +201,13 @@ TEST(SimNetworkTest, BandwidthTermScalesWithSize) {
   net.Shutdown();
 }
 
-TEST(SimNetworkTest, FifoWithoutJitter) {
-  SimEnvironment env(0.0);
+// Per-link FIFO holds whether packets are due when sent or delayed.
+class SimNetworkFifoTest : public ::testing::TestWithParam<double> {};
+
+TEST_P(SimNetworkFifoTest, FifoWithoutJitter) {
+  SimEnvironment env(GetParam());
   SimNetwork net(&env);
+  net.set_default_one_way_ms(1.7);
   auto mb = net.Register("b");
   for (int i = 0; i < 100; ++i) {
     net.Send("a", "b", Bytes(1, static_cast<char>(i)));
@@ -212,8 +220,145 @@ TEST(SimNetworkTest, FifoWithoutJitter) {
   net.Shutdown();
 }
 
+INSTANTIATE_TEST_SUITE_P(TimeScales, SimNetworkFifoTest,
+                         ::testing::Values(0.0, 0.05));
+
+// Wall-clock stamp carried in a packet's payload.
+Bytes StampNs(uint64_t ns) {
+  return Bytes(reinterpret_cast<const char*>(&ns), sizeof(ns));
+}
+uint64_t ReadStampNs(const Bytes& wire) {
+  uint64_t ns = 0;
+  memcpy(&ns, wire.data(), sizeof(ns));
+  return ns;
+}
+
+TEST(SimNetworkTest, DelayedPacketArrivesOnTime) {
+  if (SimEnvironment::kSanitized) {
+    GTEST_SKIP() << "sanitized build: real-time accuracy not expected";
+  }
+  // A 1.7 ms link at time_scale 0.05 is 85 µs of real time. The receiver
+  // is blocked in Pop when each packet is sent, one packet at a time.
+  SimEnvironment env(0.05);
+  SimNetwork net(&env);
+  net.set_bandwidth_mbps(0);  // exactly 85 µs, whatever the size
+  net.SetLinkLatency("a", "b", 1.7);
+  constexpr uint64_t kLinkNs = 85'000;
+  constexpr int kPackets = 200;
+  auto mb = net.Register("b");
+  std::vector<int64_t> lateness_ns;
+  std::atomic<int> popped{0};
+  std::thread receiver([&] {
+    Packet p;
+    while (mb->Pop(&p)) {
+      lateness_ns.push_back(static_cast<int64_t>(env.ElapsedRealNs() -
+                                                 ReadStampNs(p.wire)) -
+                            static_cast<int64_t>(kLinkNs));
+      popped.fetch_add(1, std::memory_order_release);
+    }
+  });
+  for (int i = 0; i < kPackets; ++i) {
+    // Let the receiver park before the next send.
+    std::this_thread::sleep_for(std::chrono::microseconds(200));
+    net.Send("a", "b", StampNs(env.ElapsedRealNs()));
+    while (popped.load(std::memory_order_acquire) <= i) {
+      std::this_thread::yield();
+    }
+  }
+  net.Unregister("b");
+  receiver.join();
+  ASSERT_EQ(lateness_ns.size(), static_cast<size_t>(kPackets));
+  std::sort(lateness_ns.begin(), lateness_ns.end());
+  EXPECT_GE(lateness_ns.front(), 0) << "a packet arrived early";
+  EXPECT_LT(lateness_ns[kPackets / 2], 30'000)
+      << "median lateness " << lateness_ns[kPackets / 2] << " ns real";
+}
+
+TEST(SimNetworkTest, JitterDeliversInArrivalOrder) {
+  // 20 packets sent back to back, each with its own jitter over a 1 ms
+  // real spread. The receiver pops them after every one is due: they come
+  // out by arrival time, not by send order.
+  constexpr double kScale = 0.05;
+  constexpr double kJitterMs = 20.0;
+  constexpr int kPackets = 20;
+  SimEnvironment env(kScale);
+  SimNetwork net(&env, /*seed=*/11);
+  net.set_bandwidth_mbps(0);
+  net.SetLinkLatency("a", "b", 1.7);
+  FaultPlan plan;
+  plan.reorder_jitter_ms = kJitterMs;
+  net.SetFaults("a", "b", plan);
+  auto mb = net.Register("b");
+  // The network draws one jitter per packet from its seeded Rng.
+  Rng rng(11);
+  std::vector<double> jitter_ms(kPackets);
+  for (double& j : jitter_ms) j = rng.NextDouble() * kJitterMs;
+  const uint64_t t0 = env.ElapsedRealNs();
+  for (int i = 0; i < kPackets; ++i) {
+    net.Send("a", "b", Bytes(1, static_cast<char>(i)));
+  }
+  const uint64_t burst_ns = env.ElapsedRealNs() - t0;
+  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  std::vector<int> order;
+  Packet p;
+  while (order.size() < kPackets && mb->PopWithTimeout(&p, 1000)) {
+    order.push_back(p.wire[0]);
+  }
+  ASSERT_EQ(order.size(), static_cast<size_t>(kPackets));
+  std::vector<int> sent_order(kPackets);
+  for (int i = 0; i < kPackets; ++i) sent_order[i] = i;
+  EXPECT_NE(order, sent_order) << "no packet overtook another";
+  // Packet i arrives within [t0, t0 + burst] + its delay, so any pair whose
+  // jitters differ by more than the burst has a known order.
+  const double burst_ms = static_cast<double>(burst_ns) / 1e6 / kScale;
+  for (int a = 0; a < kPackets; ++a) {
+    for (int b = a + 1; b < kPackets; ++b) {
+      const int i = order[a], j = order[b];
+      EXPECT_LE(jitter_ms[i], jitter_ms[j] + burst_ms)
+          << "packet " << i << " popped before packet " << j
+          << " which arrived earlier";
+    }
+  }
+  net.Shutdown();
+}
+
+TEST(SimNetworkTest, UnregisterLosesDelayedPacketAndWakesReceiver) {
+  // A 2 s link at time_scale 0.05 is 100 ms of real time.
+  SimEnvironment env(0.05);
+  SimNetwork net(&env);
+  net.SetLinkLatency("a", "b", 2000.0);
+  auto mb = net.Register("b");
+  std::atomic<bool> popped{false};
+  std::atomic<uint64_t> returned_ns{0};
+  std::thread receiver([&] {
+    Packet p;
+    popped = mb->Pop(&p);
+    returned_ns = env.ElapsedRealNs();
+  });
+  net.Send("a", "b", "doomed");
+  // The receiver is now asleep until the packet's arrival time.
+  std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  const uint64_t unregistered_ns = env.ElapsedRealNs();
+  net.Unregister("b");
+  receiver.join();
+  EXPECT_FALSE(popped) << "a packet to a dead receiver was delivered";
+  // Woken by Unregister, not by the arrival time or the 50 ms re-poll.
+  EXPECT_LT(returned_ns - unregistered_ns, 40'000'000u);
+
+  // A packet belongs to the incarnation registered when it was sent: a new
+  // registration under the same name does not receive it.
+  net.Register("b");
+  net.Send("a", "b", "to-the-old-b");  // due in 100 ms real
+  net.Unregister("b");
+  auto reborn = net.Register("b");
+  Packet p;
+  EXPECT_FALSE(reborn->PopWithTimeout(&p, 250));
+  net.Shutdown();
+}
+
 TEST(MailboxTest, CloseWakesBlockedPop) {
-  Mailbox mb;
+  SimEnvironment env(0.0);
+  Mailbox mb(&env);
   std::atomic<bool> returned{false};
   std::thread t([&] {
     Packet p;
