@@ -18,6 +18,8 @@ constexpr size_t kInitialArenaBytes = 64 * 1024;
 /// Bound on simultaneously live arenas (active + filled + writing + free):
 /// appenders wait (backpressure) rather than allocate past this.
 constexpr size_t kMaxArenas = 4;
+/// Bound on remembered arena starts (reclaim candidates).
+constexpr size_t kMaxArenaStarts = 1024;
 
 void PutU32At(Bytes* buf, size_t pos, uint32_t v) {
   for (int i = 0; i < 4; ++i) {
@@ -96,6 +98,8 @@ LogFile::LogFile(SimEnvironment* env, SimDisk* disk, std::string file_name,
   active_->data.resize(kInitialArenaBytes, '\0');
   active_->base = aligned;
   arena_count_ = 1;
+  arena_starts_.reserve(kMaxArenaStarts);
+  arena_starts_.push_back(aligned);
   completion_hook_id_ = disk_->AddCompletionHook(
       [this](const DiskCompletion& c) {
         if (*c.file != file_name_) return;  // cheap filter, no lock
@@ -363,6 +367,11 @@ Status LogFile::DrainLocked(audit::UniqueLock& lk) {
       durable_end_.store(batch_base + total, std::memory_order_release);
       durable_gen_.fetch_add(1, std::memory_order_release);
     }
+    // Each arena's end is where the next one starts.
+    for (const LogArena* a : batch) {
+      if (arena_starts_.size() == kMaxArenaStarts) ThinArenaStartsLocked();
+      arena_starts_.push_back(a->base + a->padded_bytes);
+    }
   }
   for (auto& a : writing_) {
     a->reserved = 0;
@@ -584,11 +593,37 @@ uint64_t LogFile::end_lsn() const {
   return active_->base + active_->reserved;
 }
 
+void LogFile::ThinArenaStartsLocked() {
+  // Keep every other start: reclaim may then stop further below its target,
+  // but still at a frame start.
+  size_t kept = 0;
+  for (size_t i = 0; i < arena_starts_.size(); i += 2) {
+    arena_starts_[kept++] = arena_starts_[i];
+  }
+  arena_starts_.resize(kept);
+}
+
+void LogFile::NoteFrameStarts(const std::vector<uint64_t>& lsns) {
+  audit::LockGuard lk(mu_);
+  const auto below =
+      std::lower_bound(lsns.begin(), lsns.end(), arena_starts_.front());
+  arena_starts_.insert(arena_starts_.begin(), lsns.begin(), below);
+  while (arena_starts_.size() >= kMaxArenaStarts) ThinArenaStartsLocked();
+}
+
+uint64_t LogFile::ReclaimTargetLocked(uint64_t lsn) {
+  const uint64_t limit =
+      std::min(lsn, durable_end_.load(std::memory_order_acquire));
+  auto it = std::upper_bound(arena_starts_.begin(), arena_starts_.end(), limit);
+  if (it == arena_starts_.begin()) return 0;
+  const uint64_t target = *--it;
+  arena_starts_.erase(arena_starts_.begin(), it);
+  return target;
+}
+
 uint64_t LogFile::ReclaimUpTo(uint64_t lsn) {
   audit::UniqueLock lk(mu_);
-  uint64_t target =
-      std::min(lsn, durable_end_.load(std::memory_order_acquire));
-  target = target / sector_bytes_ * sector_bytes_;  // sector floor
+  const uint64_t target = ReclaimTargetLocked(lsn);
   if (target <= reclaimed_end_) return 0;
   uint64_t base = reclaimed_end_;
   reclaimed_end_ = target;
@@ -604,9 +639,7 @@ uint64_t LogFile::reclaimed_lsn() const {
 
 uint64_t LogFile::ArchiveUpTo(uint64_t lsn) {
   audit::UniqueLock lk(mu_);
-  uint64_t target =
-      std::min(lsn, durable_end_.load(std::memory_order_acquire));
-  target = target / sector_bytes_ * sector_bytes_;  // sector floor
+  const uint64_t target = ReclaimTargetLocked(lsn);
   if (target <= reclaimed_end_) return 0;
   uint64_t base = reclaimed_end_;
   reclaimed_end_ = target;

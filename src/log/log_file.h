@@ -121,7 +121,9 @@ class LogFile {
   SimDisk* disk() const { return disk_; }
 
   /// Log-space reclamation: release every durable byte strictly below
-  /// `lsn` (rounded down to a sector boundary). Crash recovery scans start
+  /// `lsn`, rounded down to the newest remembered frame start on a sector
+  /// boundary (an arena start, or one from NoteFrameStarts), so a scan from
+  /// offset 0 finds a whole frame after the hole. Crash recovery scans start
   /// at the MSP checkpoint's minimum required position, so everything below
   /// it is dead weight; the punched range reads back as padding, which the
   /// scanner skips naturally. Returns the number of bytes reclaimed.
@@ -129,6 +131,10 @@ class LogFile {
 
   /// First LSN that has not been reclaimed.
   uint64_t reclaimed_lsn() const;
+
+  /// Crash recovery hands over the frames its scan found on a sector
+  /// boundary, ascending: reclaim may stop at those below the reopened end.
+  void NoteFrameStarts(const std::vector<uint64_t>& lsns) EXCLUDES(mu_);
 
   /// Segment archiving (checkpoint-watermark-driven): like ReclaimUpTo, but
   /// the released range is first copied verbatim into an archive segment
@@ -223,6 +229,10 @@ class LogFile {
   /// SimDisk write-completion hook: advances the durable watermark when a
   /// contiguous block of this log's file lands on disk.
   void OnDiskWrite(uint64_t offset, uint64_t bytes) EXCLUDES(mu_);
+  /// The newest remembered start at or below `lsn` and the durable end
+  /// (0 if none); forgets the older starts.
+  uint64_t ReclaimTargetLocked(uint64_t lsn) REQUIRES(mu_);
+  void ThinArenaStartsLocked() REQUIRES(mu_);
   uint64_t RoundUpToSector(uint64_t n) const {
     return (n + sector_bytes_ - 1) / sector_bytes_ * sector_bytes_;
   }
@@ -269,6 +279,9 @@ class LogFile {
   uint64_t filled_bytes_ GUARDED_BY(mu_) = 0;  ///< padded bytes awaiting drain
   size_t arena_count_ GUARDED_BY(mu_) = 0;
   bool drain_requested_ GUARDED_BY(mu_) = false;
+  /// Durable frame starts on sector boundaries, ascending: the recovery
+  /// scan's, the end at open, every arena end since. Thinned when full.
+  std::vector<uint64_t> arena_starts_ GUARDED_BY(mu_);
   /// Prefix released by ReclaimUpTo / ArchiveUpTo.
   uint64_t reclaimed_end_ GUARDED_BY(mu_) = 0;
   /// Prefix preserved in archive segments before punching (<= reclaimed_end_;

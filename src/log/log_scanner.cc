@@ -115,4 +115,103 @@ Status LogScanner::Next(LogRecord* out) {
   }
 }
 
+Status AnalyzeLog(SimDisk* disk, const std::string& file, uint64_t start_lsn,
+                  uint64_t durable, LogAnalysis* out, const LogVisitor& visit) {
+  *out = LogAnalysis();
+  // The entry a session record belongs to, per the rule in the header.
+  auto session = [out](const LogRecord& rec) -> SessionAnalysis& {
+    auto [it, fresh] = out->sessions.try_emplace(rec.session_id);
+    SessionAnalysis& s = it->second;
+    if (!fresh && s.ended) {
+      s = SessionAnalysis();
+      s.restarted = fresh = true;
+    }
+    if (fresh) s.first_lsn = rec.lsn;
+    return s;
+  };
+
+  LogScanner scanner(disk, file, start_lsn, durable);
+  LogRecord rec;  // Decode overwrites every field
+  Status st;
+  while ((st = scanner.Next(&rec)).ok()) {
+    ++out->records;
+    if (visit) visit(rec, scanner.next_lsn() - rec.lsn);
+    switch (rec.type) {
+      case LogRecordType::kSessionStart: {
+        SessionAnalysis& s = session(rec);
+        s.start_lsn = rec.lsn;
+        if (s.client.empty()) s.client = rec.target;
+        break;
+      }
+      case LogRecordType::kRequestReceive:
+      case LogRecordType::kSharedRead:
+      case LogRecordType::kReplyReceive: {
+        SessionAnalysis& s = session(rec);
+        s.positions.push_back(rec.lsn);
+        if (rec.type == LogRecordType::kRequestReceive) {
+          s.requests.push_back({rec.seqno, rec.lsn});
+        }
+        break;
+      }
+      case LogRecordType::kSessionCheckpoint: {
+        SessionAnalysis& s = session(rec);
+        s.checkpoint_lsn = rec.lsn;
+        s.positions.clear();
+        break;
+      }
+      case LogRecordType::kSessionEnd:
+        session(rec).ended = true;
+        break;
+      case LogRecordType::kEos: {
+        auto it = out->sessions.find(rec.session_id);
+        if (it == out->sessions.end()) break;
+        it->second.cuts.push_back({rec.prev_lsn, rec.lsn});
+        std::erase_if(it->second.positions, [&](uint64_t p) {
+          return p >= rec.prev_lsn && p <= rec.lsn;
+        });
+        break;
+      }
+      case LogRecordType::kSharedWrite:
+        out->vars[rec.var_id].last_lsn = rec.lsn;
+        break;
+      case LogRecordType::kSharedVarCheckpoint: {
+        VarAnalysis& v = out->vars[rec.var_id];
+        v.last_lsn = v.last_checkpoint_lsn = rec.lsn;
+        break;
+      }
+      case LogRecordType::kRecoveredState:
+        out->recovered.Record(rec.peer, rec.peer_epoch, rec.peer_recovered_sn);
+        break;
+      default:
+        break;  // kMspCheckpoint: recovery reads the anchored one directly
+    }
+  }
+  out->end_lsn = scanner.next_lsn();
+  out->image = scanner.TakeImage();
+  if (st.IsNotFound()) return Status::OK();
+  if (!st.IsCorruption()) return st;
+  // A bad frame: read the rest of the range and probe the later sector
+  // boundaries, where every arena starts a frame, for an intact one.
+  ScanImage& image = out->image;
+  const uint64_t end = std::min(durable, disk->FileSize(file));
+  const uint64_t have = image.base + image.bytes.size();
+  if (end > have) {
+    Bytes rest;
+    MSPLOG_RETURN_IF_ERROR(disk->ReadAt(file, have, end - have, &rest));
+    image.bytes.append(rest);
+  }
+  const uint32_t sector = disk->geometry().sector_bytes;
+  out->end = LogEnd::kTornTail;
+  for (uint64_t b = (out->end_lsn / sector + 1) * sector; b < end;
+       b += sector) {
+    LogRecord probe;
+    if (image.ReadRecordAt(b, &probe).ok()) {
+      out->end = LogEnd::kCorrupt;
+      out->intact_lsn = b;
+      break;
+    }
+  }
+  return Status::OK();
+}
+
 }  // namespace msplog

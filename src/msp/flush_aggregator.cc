@@ -23,7 +23,9 @@ std::shared_ptr<FlushWaiter> FlushAggregator::Submit(
   audit::LockGuard lk(mu_);
   ctr_legs_->Add(1);
   PeerState& ps = peers_[peer];
-  if (id <= ps.watermark) {
+  // A watermark covers only its own epoch: whether a leg of an ended epoch
+  // survived, only the peer's recovered state number can tell.
+  if (id.epoch == ps.watermark.epoch && id.sn <= ps.watermark.sn) {
     ctr_skips_->Add(1);
     return nullptr;  // already durable at the peer: no leg needed
   }

@@ -13,7 +13,8 @@
 //
 // Sender side (FlushAggregator). Each peer has at most one open *flight* —
 // an in-flight kFlushRequest with a target StateId. A submitted leg either:
-//   * skips   — the durable watermark already covers it (no leg at all);
+//   * skips   — the durable watermark of its epoch already covers it (no
+//               leg at all);
 //   * joins   — its id is ≤ the open flight's target, so that flight's
 //               completion settles it too (no message sent);
 //   * queues  — it exceeds the open flight's target; queued legs accumulate
@@ -100,8 +101,8 @@ class FlushAggregator {
   FlushAggregator(SimEnvironment* env, Options opts, SendFn send);
 
   /// Submit one leg. Returns nullptr when the durable watermark already
-  /// covers `id` (nothing to wait for); otherwise a waiter registered with
-  /// `call` whose settlement the caller awaits on call->cv.
+  /// covers `id` (same epoch, sn at or below it); otherwise a waiter
+  /// registered with `call` whose settlement the caller awaits on call->cv.
   std::shared_ptr<FlushWaiter> Submit(const MspId& peer, StateId id,
                                       const std::shared_ptr<FlushCall>& call,
                                       const obs::SpanContext& parent_span);

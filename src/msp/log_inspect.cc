@@ -12,19 +12,6 @@ namespace msplog {
 
 namespace {
 
-/// One EOS-cut range: records of `session` with lsn in [lo, hi] were made
-/// invisible by an orphan cut (§4.1) and are exempt from the per-session
-/// seqno monotonicity check.
-struct CutRange {
-  uint64_t lo = 0;
-  uint64_t hi = 0;
-};
-
-struct RequestRef {
-  uint64_t seqno = 0;
-  uint64_t lsn = 0;
-};
-
 std::string Lsn(uint64_t v) { return std::to_string(v); }
 
 }  // namespace
@@ -53,6 +40,10 @@ std::string LogInspectReport::Summary() const {
   if (torn_tail) {
     out += "torn tail at lsn " + Lsn(torn_tail_lsn) +
            " (normal after a crash)\n";
+  }
+  if (corrupt_lsn != 0) {
+    out += "corrupt at lsn " + Lsn(corrupt_lsn) + ": intact frame at lsn " +
+           Lsn(intact_lsn) + " (mid-log corruption)\n";
   }
   if (!session_stats.empty()) {
     out += "per-session stats:\n";
@@ -95,6 +86,8 @@ std::string LogInspectReport::ToJson() const {
       .Add("archive_segments", archive_segments)
       .Add("torn_tail", torn_tail)
       .Add("torn_tail_lsn", torn_tail_lsn)
+      .Add("corrupt_lsn", corrupt_lsn)
+      .Add("intact_lsn", intact_lsn)
       .Add("invariant_violations", violations);
   if (!session_stats.empty()) {
     out.AddRaw("session_stats", obs::SessionTelemetryJson(session_stats));
@@ -112,31 +105,19 @@ Status InspectLogImage(SimDisk* disk, const std::string& file,
     return Status::NotFound("log image '" + file + "' is missing or empty");
   }
 
-  // A throwaway session holds checkpoint blobs while they are validated;
-  // its position stream targets a scratch file that is never written.
-  Session scratch("inspect", "inspect", disk, "inspect/scratch-positions");
-
-  std::map<std::string, std::vector<RequestRef>> requests;
-  std::map<std::string, std::vector<CutRange>> cuts;
+  // A throwaway session holds checkpoint blobs while they are validated.
+  Session scratch("inspect", "inspect");
   std::map<std::string, obs::SessionStatsSnapshot> sstats;
 
-  uint64_t prev_record_lsn = 0;
-  bool have_prev = false;
-
-  LogScanner scanner(disk, file, /*start_lsn=*/0, durable);
-  while (true) {
-    LogRecord rec;
-    Status st = scanner.Next(&rec);
-    if (st.IsNotFound()) break;  // clean end
-    if (st.IsCorruption()) {
-      report->torn_tail = true;
-      report->torn_tail_lsn = scanner.next_lsn();
-      break;
+  // The per-record checks, the dump and the stats ride the analysis pass.
+  auto visit = [&](const LogRecord& rec, uint64_t frame_bytes) {
+    if (++report->records == 1) {
+      report->first_lsn = rec.lsn;
+    } else if (rec.lsn <= report->last_lsn) {
+      report->invariant_violations.push_back(
+          "lsn not increasing: " + Lsn(rec.lsn) + " after " +
+          Lsn(report->last_lsn));
     }
-    MSPLOG_RETURN_IF_ERROR(st);
-
-    ++report->records;
-    if (report->records == 1) report->first_lsn = rec.lsn;
     report->last_lsn = rec.lsn;
     report->records_by_type[LogRecordTypeName(rec.type)]++;
     if (!rec.session_id.empty()) report->records_by_session[rec.session_id]++;
@@ -145,9 +126,7 @@ Status InspectLogImage(SimDisk* disk, const std::string& file,
       obs::SessionStatsSnapshot& ss = sstats[rec.session_id];
       ss.session_id = rec.session_id;
       ++ss.log_records;
-      // next_lsn() sits one past the frame just returned, so the delta is
-      // the record's exact on-log footprint, frame included.
-      ss.log_bytes += scanner.next_lsn() - rec.lsn;
+      ss.log_bytes += frame_bytes;
       switch (rec.type) {
         case LogRecordType::kRequestReceive:
           ++ss.requests;
@@ -167,18 +146,7 @@ Status InspectLogImage(SimDisk* disk, const std::string& file,
       if (rec.has_dv) ss.dv_entries = rec.dv.entry_count();
     }
 
-    if (have_prev && rec.lsn <= prev_record_lsn) {
-      report->invariant_violations.push_back(
-          "lsn not increasing: " + Lsn(rec.lsn) + " after " +
-          Lsn(prev_record_lsn));
-    }
-    prev_record_lsn = rec.lsn;
-    have_prev = true;
-
     switch (rec.type) {
-      case LogRecordType::kRequestReceive:
-        requests[rec.session_id].push_back({rec.seqno, rec.lsn});
-        break;
       case LogRecordType::kSharedWrite:
         if (rec.prev_lsn != 0 && rec.prev_lsn >= rec.lsn) {
           report->invariant_violations.push_back(
@@ -192,8 +160,6 @@ Status InspectLogImage(SimDisk* disk, const std::string& file,
           report->invariant_violations.push_back(
               "eos points forward: prev_lsn " + Lsn(rec.prev_lsn) +
               " > lsn " + Lsn(rec.lsn));
-        } else {
-          cuts[rec.session_id].push_back({rec.prev_lsn, rec.lsn});
         }
         break;
       case LogRecordType::kSessionCheckpoint: {
@@ -261,6 +227,20 @@ Status InspectLogImage(SimDisk* disk, const std::string& file,
       *dump_text += " payload=" + std::to_string(rec.payload.size()) +
                     "B crc=ok\n";
     }
+  };
+
+  LogAnalysis scan;
+  MSPLOG_RETURN_IF_ERROR(AnalyzeLog(disk, file, /*start_lsn=*/0, durable,
+                                    &scan, visit));
+  if (scan.end == LogEnd::kTornTail) {
+    report->torn_tail = true;
+    report->torn_tail_lsn = scan.end_lsn;
+  } else if (scan.end == LogEnd::kCorrupt) {
+    report->corrupt_lsn = scan.end_lsn;
+    report->intact_lsn = scan.intact_lsn;
+    report->invariant_violations.push_back(
+        "mid-log corruption: bad frame at " + Lsn(scan.end_lsn) +
+        ", intact frame at " + Lsn(scan.intact_lsn));
   }
 
   // No live session cut: checkpoint-driven reclamation (hole punch or
@@ -280,18 +260,15 @@ Status InspectLogImage(SimDisk* disk, const std::string& file,
   // Per-session request seqnos never decrease in log order — except records
   // an EOS cut made invisible, which resent requests may legitimately
   // shadow with equal or lower seqnos.
-  for (const auto& [session, refs] : requests) {
-    const auto cit = cuts.find(session);
+  for (const auto& [session, a] : scan.sessions) {
     uint64_t prev_seqno = 0;
     uint64_t prev_lsn = 0;
-    for (const RequestRef& ref : refs) {
-      if (cit != cuts.end()) {
-        bool in_cut = std::any_of(
-            cit->second.begin(), cit->second.end(), [&](const CutRange& c) {
-              return ref.lsn >= c.lo && ref.lsn <= c.hi;
-            });
-        if (in_cut) continue;
-      }
+    for (const SessionAnalysis::Request& ref : a.requests) {
+      const bool in_cut =
+          std::any_of(a.cuts.begin(), a.cuts.end(), [&](const auto& c) {
+            return ref.lsn >= c.from_lsn && ref.lsn <= c.to_lsn;
+          });
+      if (in_cut) continue;
       if (ref.seqno < prev_seqno) {
         report->invariant_violations.push_back(
             "session " + session + ": request seqno " +
@@ -304,9 +281,8 @@ Status InspectLogImage(SimDisk* disk, const std::string& file,
     }
   }
 
-  for (auto& [id, ss] : sstats) {
-    (void)id;
-    report->session_stats.push_back(std::move(ss));
+  for (auto& entry : sstats) {
+    report->session_stats.push_back(std::move(entry.second));
   }
 
   return Status::OK();

@@ -1,7 +1,8 @@
 // Offline log/checkpoint inspection (forensics for §3–§4 artifacts): walk a
-// physical log image record by record with the same scanner crash recovery
-// uses, decode every checkpoint blob, and re-check the structural invariants
-// the online scanner relies on — without booting an MSP.
+// physical log image with crash recovery's analysis pass (AnalyzeLog, whose
+// session tables feed the per-session checks), decode every checkpoint
+// blob, and re-check the structural invariants the online scanner relies
+// on — without booting an MSP.
 //
 // The core is separated from the msplog_inspect CLI so tests can inspect a
 // live SimDisk directly while CI runs the CLI over an exported image file.
@@ -43,6 +44,8 @@ struct LogInspectOptions {
 ///     checkpoint's min-recovery LSN — reclamation (hole punch) and
 ///     archiving both stop strictly below that position, so a first record
 ///     *beyond* it means a live session's replay prefix was cut.
+///   * no intact frame follows the bad frame the scan stopped at, if any:
+///     an intact one there is mid-log corruption, not a torn tail.
 struct LogInspectReport {
   uint64_t records = 0;
   uint64_t first_lsn = 0;
@@ -60,11 +63,15 @@ struct LogInspectReport {
   /// Archive segments overlaid into the image before the walk (set by the
   /// caller — InspectLogImage itself only sees the merged byte image).
   uint64_t archive_segments = 0;
-  /// The scan hit a corrupt frame (CRC mismatch / truncated frame) and
-  /// stopped there. A torn tail is normal after a crash, so it is reported
-  /// separately rather than as a violation.
+  /// The scan stopped at a bad frame (CRC mismatch / truncated frame) with
+  /// no intact frame after it. A torn tail is normal after a crash, so it
+  /// is reported separately rather than as a violation.
   bool torn_tail = false;
   uint64_t torn_tail_lsn = 0;
+  /// Mid-log corruption, also a violation: a bad frame at `corrupt_lsn` with
+  /// an intact frame at `intact_lsn` after it. 0 when not corrupt.
+  uint64_t corrupt_lsn = 0;
+  uint64_t intact_lsn = 0;
   std::vector<std::string> invariant_violations;
   /// Per-session reconstruction (populated when
   /// LogInspectOptions::collect_session_stats): requests, nested calls

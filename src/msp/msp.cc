@@ -13,12 +13,6 @@
 
 namespace msplog {
 
-namespace {
-std::string PosFileName(const std::string& msp, const std::string& session) {
-  return "pos/" + msp + "/" + session;
-}
-}  // namespace
-
 Msp::Msp(SimEnvironment* env, SimNetwork* network, SimDisk* disk,
          DomainDirectory* directory, MspConfig config)
     : env_(env),
@@ -228,8 +222,8 @@ void Msp::CrashLocked(bool is_crash) {
   if (checkpoint_thread_.joinable()) checkpoint_thread_.join();
 
   // Everything volatile dies with the process. The SimDisk content — the
-  // durable log prefix, position-stream files, the anchor, kvdb WAL —
-  // survives for the next Start().
+  // durable log prefix, the anchor, kvdb WAL — survives for the next
+  // Start().
   log_.reset();
   {
     audit::LockGuard lk(sessions_mu_);
@@ -333,8 +327,7 @@ void Msp::HandleRequestMsg(Message m) {
     audit::LockGuard lk(sessions_mu_);
     auto it = sessions_.find(m.session_id);
     if (it == sessions_.end()) {
-      s = std::make_shared<Session>(m.session_id, m.sender, disk_,
-                                    PosFileName(config_.id, m.session_id));
+      s = std::make_shared<Session>(m.session_id, m.sender);
       sessions_[m.session_id] = s;
     } else {
       s = it->second;
@@ -536,7 +529,7 @@ Status Msp::ProcessRequestLogBased(Session* s, const Message& m,
     uint64_t lsn = log_->Append(end);
     // The end record must survive a crash or the session gets resurrected.
     MSPLOG_RETURN_IF_ERROR(log_->FlushUpTo(lsn));
-    s->positions.Discard();
+    s->positions.Truncate();
     {
       audit::LockGuard lk(sessions_mu_);
       s->ended = true;
@@ -651,8 +644,7 @@ Status Msp::SendReply(Session* s, ReplyCode code, const Bytes& payload,
       s->stats.OnPiggybackedSend();
     } else {
       // Pessimistic: output messages must never become orphans (§2.3).
-      DependencyVector flush_dv =
-          config_.per_session_dv ? s->dv : MspWideDv(s);
+      const DependencyVector flush_dv = PessimisticFlushDv(s);
       MSPLOG_RETURN_IF_ERROR(DistributedFlush(flush_dv, span, s));
       audit::CheckWalBeforeSend("reply to " + s->client, config_.id,
                                 epoch_.load(), flush_dv,
@@ -783,6 +775,7 @@ Status Msp::SharedWriteImpl(Session* s, const std::string& name,
   // session's state number (Fig. 8). Telemetry still attributes it to the
   // writing session — the record carries its id, and the offline inspector's
   // per-session reconstruction groups by that id.
+  s->last_shared_write_lsn = lsn;
   s->bytes_logged_since_cp += framed;
   s->stats.OnLogAppend(framed);
 
@@ -851,6 +844,7 @@ Status Msp::SharedUpdateImpl(Session* s, const std::string& name,
   write.prev_lsn = var->last_write_lsn;
   size_t framed = 0;
   uint64_t lsn = log_->Append(write, &framed);
+  s->last_shared_write_lsn = lsn;
   s->bytes_logged_since_cp += framed;
   s->stats.OnLogAppend(framed);
 
@@ -1042,8 +1036,7 @@ Status Msp::OutgoingCallImpl(Session* s, const std::string& target,
     } else {
       // Pessimistic leg: flush our dependencies before the message leaves
       // the service domain (Fig. 7, "before send, across service domains").
-      DependencyVector flush_dv =
-          config_.per_session_dv ? s->dv : MspWideDv(s);
+      const DependencyVector flush_dv = PessimisticFlushDv(s);
       MSPLOG_RETURN_IF_ERROR(DistributedFlush(flush_dv, parent_span, s));
       audit::CheckWalBeforeSend("call to " + target, config_.id,
                                 epoch_.load(), flush_dv,
@@ -1119,15 +1112,36 @@ Status Msp::DistributedFlushImpl(const DependencyVector& dv,
                                  const obs::SpanContext& span) {
   env_->stats().distributed_flushes.fetch_add(1);
 
+  // A leg of an epoch the peer has ended is settled by the state number the
+  // peer recovered to, once the local table knows it: at or below it the
+  // leg is durable, above it the leg was lost. Only a leg whose epoch the
+  // table does not know yet goes to the peer.
+  std::vector<std::pair<MspId, StateId>> legs;
+  for (const auto& [msp, id] : dv.entries()) {
+    if (msp == config_.id) continue;
+    if (!IntraDomain(msp)) continue;  // cross-domain deps never exist
+    std::optional<uint64_t> rsn;
+    {
+      audit::LockGuard lk(table_mu_);
+      rsn = recovered_table_.RecoveredSn(msp, id.epoch);
+    }
+    if (!rsn) {
+      legs.emplace_back(msp, id);
+    } else if (id.sn > *rsn) {
+      env_->stats().orphans_detected.fetch_add(1);
+      env_->tracer().Record(obs::TraceEventType::kOrphanDetected,
+                            env_->NowModelMs(), config_.id, /*session=*/"",
+                            /*seqno=*/0, "flush_leg=" + msp);
+      return Status::Orphan("flush failed at " + msp);
+    }
+  }
   // Submit the peer legs first so they run in parallel with the local one.
   // The aggregator decides, under one lock pass per leg, whether it is
   // already covered by the durable watermark (skip), rides an in-flight
   // request (join), accumulates behind one (queue), or launches a flight.
   auto call = std::make_shared<FlushCall>();
   std::vector<std::shared_ptr<FlushWaiter>> waiters;
-  for (const auto& [msp, id] : dv.entries()) {
-    if (msp == config_.id) continue;
-    if (!IntraDomain(msp)) continue;  // cross-domain deps never exist
+  for (const auto& [msp, id] : legs) {
     auto w = flush_agg_->Submit(msp, id, call, span);
     if (w) waiters.push_back(std::move(w));
   }
@@ -1367,6 +1381,14 @@ DependencyVector Msp::MspWideDv(const Session* self) const {
     if (sess.get() != self && !sess->ended) all.Merge(sess->published_dv);
   }
   return all;
+}
+
+DependencyVector Msp::PessimisticFlushDv(const Session* s) const {
+  DependencyVector dv = config_.per_session_dv ? s->dv : MspWideDv(s);
+  if (s->last_shared_write_lsn != 0) {
+    dv.Raise(config_.id, StateId{epoch_.load(), s->last_shared_write_lsn});
+  }
+  return dv;
 }
 
 void Msp::PublishDv(Session* s) {

@@ -279,6 +279,10 @@ class Msp {
   /// Ablation only: publish `s`'s DV to the MSP-wide union. Owner thread;
   /// a no-op with per-session DVs.
   void PublishDv(Session* s);
+  /// The DV an output leaving the service domain must flush first: the
+  /// session's DV (or the MSP-wide one), its own entry raised to cover the
+  /// session's newest shared-variable write. Owner thread.
+  DependencyVector PessimisticFlushDv(const Session* s) const;
   bool DvIsOrphan(const DependencyVector& dv) const;
   /// Roll `var` back along its backward write chain to the most recent
   /// non-orphan value (§4.2). Caller holds the variable's unique lock.

@@ -241,15 +241,6 @@ Status Msp::ReplayOnce(Session* s, const ScanImage* image,
   while (cursor.HasNext()) {
     LogRecord rec;
     MSPLOG_RETURN_IF_ERROR(done(cursor.Peek(&rec)));
-    if (rec.type == LogRecordType::kSessionStart) {
-      cursor.Skip();
-      continue;
-    }
-    if (rec.type == LogRecordType::kSessionEnd) {
-      audit::LockGuard lk(sessions_mu_);
-      s->ended = true;
-      return done(Status::OK());
-    }
     if (rec.has_dv && DvIsOrphan(rec.dv)) {
       // The session became an orphan by receiving this request: skip it and
       // everything after; the sender will resend after its own recovery.

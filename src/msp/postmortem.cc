@@ -1,8 +1,7 @@
 #include "msp/postmortem.h"
 
-#include <map>
+#include <algorithm>
 
-#include "log/log_record.h"
 #include "log/log_scanner.h"
 #include "obs/json.h"
 
@@ -67,49 +66,30 @@ Status DerivePostmortem(SimDisk* disk, const std::string& file,
     return Status::NotFound("empty or missing log image: " + file);
   }
 
-  // One full scan collects the per-session evidence; classification only
-  // consults sessions the bundle names as in-flight.
-  struct Evidence {
-    uint64_t first_lsn = 0;
-    uint64_t requests_before_crash = 0;
-    uint64_t eos_after_crash = 0;
-    bool durable_trace = false;  ///< any record below durable_at_crash
-  };
-  std::map<std::string, Evidence> evidence;
-
-  LogScanner scanner(disk, file, /*start_lsn=*/0, report->image_bytes);
-  while (true) {
-    LogRecord rec;
-    Status st = scanner.Next(&rec);
-    if (st.IsNotFound()) break;
-    if (st.IsCorruption()) break;  // torn tail: durable log ends here
-    MSPLOG_RETURN_IF_ERROR(st);
-    ++report->records_scanned;
-    if (rec.session_id.empty()) continue;
-    Evidence& e = evidence[rec.session_id];
-    if (e.first_lsn == 0) e.first_lsn = rec.lsn;
-    if (rec.lsn < in.durable_at_crash) {
-      e.durable_trace = true;
-      if (rec.type == LogRecordType::kRequestReceive) {
-        ++e.requests_before_crash;
-      }
-    } else if (rec.type == LogRecordType::kEos) {
-      ++e.eos_after_crash;
-    }
-  }
-
+  // One analysis pass collects the per-session evidence; classification
+  // only consults sessions the bundle names as in-flight.
+  LogAnalysis scan;
+  MSPLOG_RETURN_IF_ERROR(AnalyzeLog(disk, file, /*start_lsn=*/0,
+                                    report->image_bytes, &scan));
+  report->records_scanned = scan.records;
+  const uint64_t crash = in.durable_at_crash;
   for (const std::string& id : in.inflight_sessions) {
     PostmortemSessionFate f;
     f.session_id = id;
-    auto it = evidence.find(id);
-    if (it == evidence.end() || !it->second.durable_trace) {
+    auto it = scan.sessions.find(id);
+    if (it != scan.sessions.end()) f.first_lsn = it->second.first_lsn;
+    // A durable trace is any record of the session below the crash point.
+    if (it == scan.sessions.end() || f.first_lsn >= crash) {
       f.fate = "never-logged";
-      if (it != evidence.end()) f.first_lsn = it->second.first_lsn;
     } else {
-      f.first_lsn = it->second.first_lsn;
-      f.requests_logged = it->second.requests_before_crash;
-      f.eos_cuts_after_crash = it->second.eos_after_crash;
-      f.fate = it->second.eos_after_crash > 0 ? "orphaned" : "replayed";
+      const SessionAnalysis& a = it->second;
+      f.requests_logged = std::count_if(
+          a.requests.begin(), a.requests.end(),
+          [crash](const auto& r) { return r.lsn < crash; });
+      f.eos_cuts_after_crash =
+          std::count_if(a.cuts.begin(), a.cuts.end(),
+                        [crash](const auto& c) { return c.to_lsn >= crash; });
+      f.fate = f.eos_cuts_after_crash > 0 ? "orphaned" : "replayed";
     }
     report->sessions.push_back(std::move(f));
   }

@@ -2,7 +2,8 @@
 // given the flight recorder's frozen pre-crash facts — which sessions were
 // in flight and how far the log was durable when the MSP died — re-derive
 // every session's fate (replayed / orphaned / never-logged) from nothing
-// but the raw log image, using the same scanner crash recovery uses.
+// but the raw log image, using the same analysis pass crash recovery runs
+// (AnalyzeLog, log/log_scanner.h) and its session tables.
 //
 // The derivation is intentionally independent of the live outage join in
 // msp_recovery.cc: the log itself is the ground truth, so the two paths
@@ -58,18 +59,19 @@ struct PostmortemReport {
   std::string ToJson() const;
 };
 
-/// Walk the log image `file` on `disk` from offset 0 through the durable
-/// extent and classify every session named in `in.inflight_sessions`:
-///   * never-logged — no durable record below `durable_at_crash` mentions
-///     the session: the crash erased it entirely; the client's work never
+/// Analyse the log image `file` on `disk` from offset 0 through the durable
+/// extent and classify every session named in `in.inflight_sessions` by
+/// its session entry (the newest incarnation, per AnalyzeLog's rule):
+///   * never-logged — the entry has no record below `durable_at_crash`:
+///     the crash erased the session entirely; the client's work never
 ///     reached the disk.
 ///   * orphaned — the session has a durable trace AND recovery wrote an EOS
 ///     cut for it at/after the crash point: part of its in-flight work was
 ///     discarded as an orphan (§4.1).
 ///   * replayed — the session has a durable trace and no post-crash cut:
 ///     replay rebuilt it cleanly.
-/// Returns non-OK only for environmental failures (missing file); a torn
-/// tail ends the walk cleanly, exactly as it ends recovery's scan.
+/// Returns non-OK only for environmental failures (missing file); a bad
+/// frame ends the walk cleanly, exactly as it ends recovery's scan.
 Status DerivePostmortem(SimDisk* disk, const std::string& file,
                         const PostmortemInput& in, PostmortemReport* report);
 

@@ -5,7 +5,6 @@
 #include "msp/recovery_coordinator.h"
 
 #include <algorithm>
-#include <map>
 #include <utility>
 #include <vector>
 
@@ -15,12 +14,6 @@
 #include "msp/msp_checkpoint_format.h"
 
 namespace msplog {
-
-namespace {
-std::string PosFileName(const std::string& msp, const std::string& session) {
-  return "pos/" + msp + "/" + session;
-}
-}  // namespace
 
 Status RecoveryCoordinator::RunAnalysis() {
   Msp* m = msp_;
@@ -60,25 +53,19 @@ Status RecoveryCoordinator::RunAnalysis() {
 
   // Re-initialize from the most recent MSP checkpoint (Fig. 12).
   uint64_t min_lsn = 0;
+  MspCheckpointData data;
   if (msp_cp_lsn_ != 0) {
     LogRecord cp;
     MSPLOG_RETURN_IF_ERROR(m->log_->ReadRecordAt(msp_cp_lsn_, &cp));
     if (cp.type != LogRecordType::kMspCheckpoint) {
       return Status::Corruption("anchor does not point at an MSP checkpoint");
     }
-    MspCheckpointData data;
     MSPLOG_RETURN_IF_ERROR(data.Decode(cp.payload));
-    {
-      audit::LockGuard lk(m->table_mu_);
-      m->recovered_table_.Merge(data.table);
-    }
     audit::LockGuard lk(m->sessions_mu_);
     for (const auto& e : data.sessions) {
-      auto s = std::make_shared<Session>(e.id, e.client, m->disk_,
-                                         PosFileName(m->config_.id, e.id));
+      auto s = std::make_shared<Session>(e.id, e.client);
       s->last_checkpoint_lsn.store(e.last_checkpoint_lsn);
       s->first_lsn.store(e.first_lsn);
-      s->recovering = true;
       m->sessions_[e.id] = s;
     }
     for (const auto& e : data.vars) {
@@ -88,122 +75,62 @@ Status RecoveryCoordinator::RunAnalysis() {
     min_lsn = data.MinRecoveryLsn(msp_cp_lsn_);
   }
 
-  // Single-threaded analysis scan (§4.3): reconstruct position streams,
-  // roll shared variables forward, rebuild recovered-state knowledge. The
-  // scan is bounded by the checkpoint's minimum recovery position and the
-  // durable extent — nothing is replayed here; sessions become servable
-  // one by one afterwards (on demand or via the background drain).
+  // Single-threaded analysis scan (§4.3), bounded by the checkpoint's
+  // minimum recovery position and the durable extent. Nothing is replayed
+  // here; sessions become servable one by one afterwards (on demand or via
+  // the background drain). Any bad frame ends the log, torn tail or not.
+  // The frames that start on a sector boundary are where the reopened log
+  // may stop a reclaim below the point it reopened at.
   const uint64_t durable = m->disk_->FileSize(log_file);
-  std::map<std::string, std::vector<uint64_t>> positions;
+  const uint32_t sector = m->disk_->geometry().sector_bytes;
+  LogAnalysis scan;
+  std::vector<uint64_t> sector_frames;
+  MSPLOG_RETURN_IF_ERROR(AnalyzeLog(
+      m->disk_, log_file, min_lsn, durable, &scan,
+      [&](const LogRecord& rec, uint64_t) {
+        if (rec.lsn % sector == 0) sector_frames.push_back(rec.lsn);
+      }));
+  m->log_->NoteFrameStarts(sector_frames);
+
+  // Sessions: an in-range end outdates what the MSP checkpoint knew of a
+  // session; every other session the scan saw gets its position stream.
+  std::vector<std::string> surviving_ids;
   {
     audit::LockGuard lk(m->sessions_mu_);
-    for (auto& [id, s] : m->sessions_) positions[id];  // seed known sessions
+    for (auto& [id, a] : scan.sessions) {
+      if (a.ended || a.restarted) m->sessions_.erase(id);
+      if (a.ended) continue;
+      std::shared_ptr<Session>& s = m->sessions_[id];
+      if (!s) s = std::make_shared<Session>(id, a.client);
+      if (s->client.empty()) s->client = a.client;
+      if (a.start_lsn != 0) s->first_lsn.store(a.start_lsn);
+      if (a.checkpoint_lsn != 0) s->last_checkpoint_lsn.store(a.checkpoint_lsn);
+      // Without a checkpoint in range, the MSP checkpoint's one bounds replay.
+      const uint64_t cp = s->last_checkpoint_lsn.load();
+      std::erase_if(a.positions, [cp](uint64_t p) { return p <= cp; });
+      s->positions.ReplaceAll(std::move(a.positions));
+    }
+    for (auto& [id, s] : m->sessions_) {
+      s->recovering = true;
+      surviving_ids.push_back(id);
+    }
+    sessions_to_recover_ = m->sessions_.size();
   }
 
-  auto ensure_session =
-      [&](const std::string& id,
-          const std::string& client) -> std::shared_ptr<Session> {
-    audit::LockGuard lk(m->sessions_mu_);
-    auto it = m->sessions_.find(id);
-    if (it != m->sessions_.end()) {
-      if (it->second->client.empty() && !client.empty()) {
-        it->second->client = client;
-      }
-      return it->second;
-    }
-    auto s = std::make_shared<Session>(id, client, m->disk_,
-                                       PosFileName(m->config_.id, id));
-    s->recovering = true;
-    m->sessions_[id] = s;
-    return s;
-  };
-
-  uint64_t scanned_records = 0;
-  LogScanner scanner(m->disk_, log_file, min_lsn, durable);
-  while (true) {
+  // Roll shared variables forward (§4.3): each ends at its newest write or
+  // checkpoint record, which carries the full value.
+  for (const auto& [name, a] : scan.vars) {
     LogRecord rec;
-    Status st = scanner.Next(&rec);
-    if (st.IsNotFound()) break;
-    if (st.IsCorruption()) break;  // torn tail: the durable log ends here
-    MSPLOG_RETURN_IF_ERROR(st);
-    ++scanned_records;
-
-    switch (rec.type) {
-      case LogRecordType::kSessionStart: {
-        auto s = ensure_session(rec.session_id, rec.target);
-        s->first_lsn.store(rec.lsn);
-        break;
-      }
-      case LogRecordType::kRequestReceive:
-      case LogRecordType::kSharedRead:
-      case LogRecordType::kReplyReceive: {
-        auto s = ensure_session(rec.session_id, "");
-        if (rec.lsn > s->last_checkpoint_lsn.load()) {
-          positions[rec.session_id].push_back(rec.lsn);
-        }
-        break;
-      }
-      case LogRecordType::kSharedWrite: {
-        // Roll forward (§4.3): each write record carries the full value.
-        auto v = m->GetOrCreateSharedVar(rec.var_id);
-        audit::SharedUniqueLock vlk(v->rw);
-        v->value = rec.payload;
-        v->dv = rec.dv;
-        v->state_number = rec.lsn;
-        v->last_write_lsn = rec.lsn;
-        break;
-      }
-      case LogRecordType::kSharedVarCheckpoint: {
-        auto v = m->GetOrCreateSharedVar(rec.var_id);
-        audit::SharedUniqueLock vlk(v->rw);
-        v->value = rec.payload;
-        v->dv.Clear();
-        v->state_number = rec.lsn;
-        v->last_write_lsn = rec.lsn;
-        v->last_checkpoint_lsn = rec.lsn;
-        break;
-      }
-      case LogRecordType::kSessionCheckpoint: {
-        auto s = ensure_session(rec.session_id, "");
-        s->last_checkpoint_lsn.store(rec.lsn);
-        positions[rec.session_id].clear();
-        break;
-      }
-      case LogRecordType::kSessionEnd: {
-        audit::LockGuard lk(m->sessions_mu_);
-        auto sit = m->sessions_.find(rec.session_id);
-        if (sit != m->sessions_.end()) {
-          m->queued_requests_.fetch_sub(sit->second->pending_requests.size(),
-                                        std::memory_order_relaxed);
-          m->sessions_.erase(sit);
-        }
-        positions.erase(rec.session_id);
-        break;
-      }
-      case LogRecordType::kRecoveredState: {
-        audit::LockGuard lk(m->table_mu_);
-        m->recovered_table_.Record(rec.peer, rec.peer_epoch,
-                                   rec.peer_recovered_sn);
-        break;
-      }
-      case LogRecordType::kEos: {
-        // §4.3: records from the orphan record through the EOS are skipped
-        // by any subsequent recovery of this session.
-        auto it = positions.find(rec.session_id);
-        if (it != positions.end()) {
-          auto& ps = it->second;
-          ps.erase(std::remove_if(ps.begin(), ps.end(),
-                                  [&](uint64_t p) {
-                                    return p >= rec.prev_lsn && p <= rec.lsn;
-                                  }),
-                   ps.end());
-        }
-        break;
-      }
-      case LogRecordType::kMspCheckpoint:
-        break;  // the newest one already initialized us
-      default:
-        break;
+    MSPLOG_RETURN_IF_ERROR(scan.image.ReadRecordAt(a.last_lsn, &rec));
+    auto v = m->GetOrCreateSharedVar(name);
+    audit::SharedUniqueLock vlk(v->rw);
+    v->value = std::move(rec.payload);
+    v->dv = rec.type == LogRecordType::kSharedWrite ? rec.dv
+                                                     : DependencyVector();
+    v->state_number = a.last_lsn;
+    v->last_write_lsn = a.last_lsn;
+    if (a.last_checkpoint_lsn != 0) {
+      v->last_checkpoint_lsn = a.last_checkpoint_lsn;
     }
   }
 
@@ -215,29 +142,17 @@ Status RecoveryCoordinator::RunAnalysis() {
   const uint64_t recovered_sn = durable > 0 ? durable - 1 : 0;
   {
     audit::LockGuard lk(m->table_mu_);
+    m->recovered_table_.Merge(data.table);
+    m->recovered_table_.Merge(scan.recovered);
     m->recovered_table_.Record(m->config_.id, old_epoch_, recovered_sn);
   }
 
-  // Hand the reconstructed position streams to the sessions.
-  std::vector<std::string> surviving_ids;
-  {
-    audit::LockGuard lk(m->sessions_mu_);
-    for (auto& [id, s] : m->sessions_) {
-      auto it = positions.find(id);
-      if (it != positions.end()) {
-        s->positions.ReplaceAll(std::move(it->second));
-      }
-      s->recovering = true;
-      surviving_ids.push_back(id);
-    }
-    sessions_to_recover_ = m->sessions_.size();
-  }
   // Keep what the scan read for the replays, so none reads the log again.
   {
     audit::LockGuard lk(mu_);
     replays_left_ = sessions_to_recover_;
     if (replays_left_ > 0) {
-      image_ = std::make_shared<const ScanImage>(scanner.TakeImage());
+      image_ = std::make_shared<const ScanImage>(std::move(scan.image));
     }
   }
 
@@ -282,11 +197,11 @@ Status RecoveryCoordinator::RunAnalysis() {
   const double scan_end_ms = m->env_->NowModelMs();
   m->env_->tracer().Record(obs::TraceEventType::kAnalysisScanEnd, scan_end_ms,
                            m->config_.id, /*session=*/"", /*seqno=*/0,
-                           "records=" + std::to_string(scanned_records));
+                           "records=" + std::to_string(scan.records));
   {
     audit::LockGuard lk(m->timeline_mu_);
     m->last_recovery_timeline_.analysis_scan_ms = scan_end_ms - t0;
-    m->last_recovery_timeline_.analysis_records_scanned = scanned_records;
+    m->last_recovery_timeline_.analysis_records_scanned = scan.records;
     m->last_recovery_timeline_.analysis_bytes_scanned =
         durable > min_lsn ? durable - min_lsn : 0;
     m->last_recovery_timeline_.sessions_to_recover = sessions_to_recover_;

@@ -4,9 +4,10 @@
 //
 //   1. RunAnalysis()          — epoch bump persisted to the anchor, state
 //                               re-initialization from the MSP checkpoint,
-//                               and ONE bounded analysis scan that builds
-//                               every session's replay work-list (position
-//                               stream) and keeps the bytes it read. No
+//                               and ONE bounded analysis pass (AnalyzeLog)
+//                               whose tables give every session its replay
+//                               work-list and every shared variable its
+//                               newest value; the bytes read are kept. No
 //                               session is replayed here.
 //   2. PrepareOpen()          — recovery broadcast to the service domain and
 //                               a fresh MSP checkpoint; after this the

@@ -47,11 +47,8 @@ struct OutgoingSessionState {
 
 class Session {
  public:
-  Session(std::string id, std::string client, SimDisk* disk,
-          const std::string& pos_file)
-      : id(std::move(id)),
-        client(std::move(client)),
-        positions(disk, pos_file) {}
+  Session(std::string id, std::string client)
+      : id(std::move(id)), client(std::move(client)) {}
 
   // ---- identity ----
   const std::string id;
@@ -71,6 +68,10 @@ class Session {
   /// request: outside recovery, a DV may only grow (audit/invariants.h).
   DependencyVector audit_shadow_dv;
   uint64_t state_number = 0; ///< LSN of this session's most recent log record
+  /// LSN of the session's newest shared-variable write (0 = none). It moves
+  /// neither `dv` nor `state_number` (Fig. 8), but outputs that leave the
+  /// domain flush up to it (Msp::PessimisticFlushDv).
+  uint64_t last_shared_write_lsn = 0;
   /// first_lsn / last_checkpoint_lsn are read by the fuzzy MSP checkpoint
   /// without owning the session, hence atomic. The two checkpoint-staleness
   /// counters below are atomic for the same reason: the owner thread resets

@@ -1,9 +1,9 @@
 // Tests for distributed-flush coalescing (the per-peer FlushAggregator and
 // the receiver-side InboundFlushCoalescer): concurrent repliers share flush
-// messages; a coalesced flight that fails authoritatively orphans every
-// joined waiter exactly as per-leg flushes would; a crash mid-flight leaks
-// no aggregator state; and turning the knob off reproduces the one-message-
-// per-leg behaviour.
+// messages; a watermark never covers a leg of an ended epoch; a coalesced
+// flight that fails authoritatively orphans every joined waiter exactly as
+// per-leg flushes would; a crash mid-flight leaks no aggregator state; and
+// turning the knob off reproduces the one-message-per-leg behaviour.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -11,6 +11,7 @@
 #include <thread>
 #include <vector>
 
+#include "msp/flush_aggregator.h"
 #include "msp/msp.h"
 #include "msp/service_domain.h"
 #include "obs/metrics.h"
@@ -84,6 +85,12 @@ class FlushCoalesceTest : public ::testing::Test {
           }
           return Status::OK();
         });
+    // Touches no peer: its reply flushes only what the session already
+    // depends on.
+    alpha_->RegisterMethod("local", [](ServiceContext*, const Bytes&, Bytes* r) {
+      *r = "ok";
+      return Status::OK();
+    });
     ASSERT_TRUE(beta_->Start().ok());
     ASSERT_TRUE(alpha_->Start().ok());
   }
@@ -202,6 +209,85 @@ TEST_F(FlushCoalesceTest, CoalescingOffSendsOneMessagePerLeg) {
   EXPECT_GE(Ctr("flush.requests_sent") - sent0,
             (Ctr("flush.legs_requested") - legs0) -
                 (Ctr("flush.watermark_skips") - skips0));
+}
+
+// A watermark covers only legs of its own epoch. Once the peer's new epoch
+// is confirmed durable up to 2:100, a leg of the ended epoch 1 must still go
+// to the peer, whose recovered-state table decides whether it survived —
+// here it did not, so the leg settles as an orphan.
+TEST(FlushAggregatorTest, NewEpochWatermarkDoesNotCoverEndedEpoch) {
+  SimEnvironment env(0.0);
+  std::vector<Message> sent;
+  FlushAggregator::Options opts;
+  opts.self = "alpha";
+  FlushAggregator agg(&env, opts, [&](const MspId&, const Bytes& wire) {
+    Message m;
+    ASSERT_TRUE(Message::Decode(wire, &m).ok());
+    sent.push_back(m);
+  });
+  auto call = std::make_shared<FlushCall>();
+  ASSERT_NE(agg.Submit("beta", StateId{2, 100}, call, {}), nullptr);
+  ASSERT_EQ(sent.size(), 1u);
+  Message ok;
+  ok.type = MessageType::kFlushReply;
+  ok.flush_id = sent[0].flush_id;
+  ok.flush_ok = true;
+  agg.HandleReply(ok);
+  ASSERT_EQ(agg.WatermarkForTest("beta"), (StateId{2, 100}));
+  EXPECT_EQ(agg.Submit("beta", StateId{2, 50}, call, {}), nullptr);
+
+  auto old = agg.Submit("beta", StateId{1, 5000}, call, {});
+  ASSERT_NE(old, nullptr);
+  ASSERT_EQ(sent.size(), 2u);
+  EXPECT_EQ(sent[1].epoch, 1u);
+  EXPECT_EQ(sent[1].flush_sn, 5000u);
+  Message lost;
+  lost.type = MessageType::kFlushReply;
+  lost.flush_id = sent[1].flush_id;
+  lost.rec_epoch = 1;
+  lost.rec_sn = 4000;
+  agg.HandleReply(lost);
+  audit::LockGuard lk(old->call->mu);
+  EXPECT_TRUE(old->settled);
+  EXPECT_FALSE(old->ok);
+  EXPECT_EQ(old->orphan_epoch, 1u);
+  EXPECT_EQ(old->orphan_sn, 4000u);
+}
+
+// The recovered-state table settles a leg of an ended epoch without a
+// message. One session's dependency on beta's first epoch was flushed before
+// beta crashed; once beta's recovery announce has arrived and beta's new
+// epoch has a watermark of its own, that session's next reply sends beta
+// nothing.
+TEST_F(FlushCoalesceTest, RecoveredTableSettlesEndedEpochLeg) {
+  BuildAndStart(/*coalesce=*/true);
+  gate_.store(1);
+  ClientEndpoint old_ep(&env_, &net_, "cli_old");
+  ClientEndpoint new_ep(&env_, &net_, "cli_new");
+  auto old_s = old_ep.StartSession("alpha");
+  auto new_s = new_ep.StartSession("alpha");
+  Bytes reply;
+  ASSERT_TRUE(old_ep.Call(&old_s, "relay_gated", "", &reply).ok());
+  const uint32_t ended = beta_->epoch();
+  beta_->Crash();
+  ASSERT_TRUE(beta_->Start().ok());
+  auto announced = [&] {
+    return alpha_->SnapshotRecoveredTable().RecoveredSn("beta", ended);
+  };
+  for (int i = 0; i < 5000 && !announced(); ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_TRUE(announced());
+  // A flush leg to beta's new epoch: its confirmation is that epoch's
+  // watermark.
+  const uint64_t before_new = Ctr("flush.requests_sent");
+  ASSERT_TRUE(new_ep.Call(&new_s, "relay_gated", "", &reply).ok());
+  ASSERT_GT(Ctr("flush.requests_sent"), before_new);
+
+  const uint64_t sent0 = Ctr("flush.requests_sent");
+  ASSERT_TRUE(old_ep.Call(&old_s, "local", "", &reply).ok());
+  EXPECT_EQ(reply, "ok");
+  EXPECT_EQ(Ctr("flush.requests_sent"), sent0);
 }
 
 // A coalesced flight that fails authoritatively must orphan EVERY waiter

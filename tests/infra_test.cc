@@ -119,9 +119,7 @@ TEST(DomainDirectoryTest, ReassignmentMoves) {
 }
 
 TEST(SessionCheckpointCodecTest, RoundTripsFullState) {
-  SimEnvironment env(0.0);
-  SimDisk disk(&env, "d");
-  Session s("se1", "cli", &disk, "pos");
+  Session s("se1", "cli");
   s.vars["alpha"] = MakePayload(512, 1);
   s.vars["beta"] = "";
   s.dv.Set("msp2", {3, 777});
@@ -131,7 +129,7 @@ TEST(SessionCheckpointCodecTest, RoundTripsFullState) {
   s.outgoing["msp2"] = {"msp2", "m/se1>msp2", 7};
 
   Bytes blob = s.EncodeCheckpoint();
-  Session t("se1", "cli", &disk, "pos2");
+  Session t("se1", "cli");
   ASSERT_TRUE(t.DecodeCheckpoint(blob).ok());
   EXPECT_EQ(t.vars.size(), 2u);
   EXPECT_EQ(t.vars["alpha"], MakePayload(512, 1));
@@ -148,9 +146,7 @@ TEST(SessionCheckpointCodecTest, RoundTripsFullState) {
 }
 
 TEST(SessionCheckpointCodecTest, CorruptBlobRejected) {
-  SimEnvironment env(0.0);
-  SimDisk disk(&env, "d");
-  Session s("se1", "cli", &disk, "pos");
+  Session s("se1", "cli");
   EXPECT_FALSE(s.DecodeCheckpoint("garbage").ok());
 }
 

@@ -1,12 +1,16 @@
 // Offline log/checkpoint inspector tests (msp/log_inspect.h): a real
 // workload's log image inspects cleanly — every record accounted, every
 // checkpoint blob decodable, zero invariant violations — and a corrupted
-// copy of the same image is detected instead of silently accepted.
+// copy of the same image is detected instead of silently accepted: a bad
+// frame with intact frames after it is mid-log corruption, one without is
+// a torn tail.
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <vector>
 
 #include "json_strict.h"
+#include "log/log_scanner.h"
 #include "msp/log_inspect.h"
 #include "msp/msp.h"
 #include "msp/service_domain.h"
@@ -65,6 +69,20 @@ class InspectTest : public ::testing::Test {
           client.Call(&session, "work", std::to_string(i), &reply).ok());
     }
     ASSERT_TRUE(msp_->log()->FlushAll().ok());
+  }
+
+  /// The log's bytes, and the LSN of every record in it, in order.
+  Bytes Image(std::vector<uint64_t>* lsns) {
+    Bytes image;
+    EXPECT_TRUE(
+        disk_.ReadAt("m1.log", 0, disk_.FileSize("m1.log"), &image).ok());
+    LogAnalysis scan;
+    EXPECT_TRUE(AnalyzeLog(&disk_, "m1.log", 0, image.size(), &scan,
+                           [&](const LogRecord& rec, uint64_t) {
+                             lsns->push_back(rec.lsn);
+                           })
+                    .ok());
+    return image;
   }
 
   SimEnvironment env_;
@@ -149,6 +167,56 @@ TEST_F(InspectTest, CorruptedCopyIsDetectedNotAccepted) {
   EXPECT_TRUE(report.torn_tail);
   EXPECT_LT(report.records, clean.records);
   EXPECT_NE(report.Summary().find("torn tail"), std::string::npos);
+}
+
+// One flipped byte inside a record in the middle of the image is mid-log
+// corruption, not a torn tail: intact frames follow it at later arena
+// starts, so the inspector reports a violation and --self-check fails.
+TEST_F(InspectTest, MidLogFlipIsCorruptionNotTornTail) {
+  Build();
+  RunWorkloadWithCrash();
+  std::vector<uint64_t> lsns;
+  Bytes image = Image(&lsns);
+  const size_t mid = lsns.size() / 2;
+  image[lsns[mid] + 10] = static_cast<char>(image[lsns[mid] + 10] ^ 0x01);
+  ASSERT_TRUE(disk_.WriteAt("flipped.log", 0, image).ok());
+
+  LogInspectReport report;
+  ASSERT_TRUE(
+      InspectLogImage(&disk_, "flipped.log", LogInspectOptions(), &report)
+          .ok());
+  EXPECT_EQ(report.records, mid);
+  EXPECT_FALSE(report.torn_tail);
+  EXPECT_EQ(report.corrupt_lsn, lsns[mid]);
+  EXPECT_GT(report.intact_lsn, lsns[mid]);
+  ASSERT_EQ(report.invariant_violations.size(), 1u);
+  EXPECT_NE(report.invariant_violations[0].find("mid-log corruption"),
+            std::string::npos);
+  EXPECT_NE(report.Summary().find("corrupt at lsn"), std::string::npos);
+  EXPECT_TRUE(JsonStrict(report.ToJson()));
+}
+
+// An image that ends inside a frame — a write torn by a crash — is a torn
+// tail: nothing intact follows the bad frame, and that is no violation.
+TEST_F(InspectTest, ImageCutMidFrameIsTornTail) {
+  Build();
+  RunWorkloadWithCrash();
+  std::vector<uint64_t> lsns;
+  Bytes image = Image(&lsns);
+  const size_t mid = lsns.size() / 2;
+  image.resize(lsns[mid] + 12);
+  ASSERT_TRUE(disk_.WriteAt("cut.log", 0, image).ok());
+
+  LogInspectReport report;
+  ASSERT_TRUE(
+      InspectLogImage(&disk_, "cut.log", LogInspectOptions(), &report).ok());
+  EXPECT_EQ(report.records, mid);
+  EXPECT_TRUE(report.torn_tail);
+  EXPECT_EQ(report.torn_tail_lsn, lsns[mid]);
+  EXPECT_EQ(report.corrupt_lsn, 0u);
+  for (const auto& v : report.invariant_violations) {
+    ADD_FAILURE() << "invariant violation: " << v;
+  }
 }
 
 TEST_F(InspectTest, StatsReconstructsPerSessionCountsFromTheImage) {

@@ -369,10 +369,86 @@ TEST(LogAnchorTest, CorruptAnchorDetected) {
   EXPECT_TRUE(anchor.Read(&out).IsCorruption());
 }
 
-TEST(PositionStreamTest, AddAndAll) {
+// AnalyzeLog's one session rule: a shared write names its session only for
+// attribution, an EOS never creates an entry, and a record after an end
+// starts the session afresh.
+TEST(LogAnalysisTest, SessionRuleForWritesCutsAndEnds) {
   SimEnvironment env(0.0);
   SimDisk disk(&env, "d");
-  PositionStream ps(&disk, "pos", 4);
+  LogFile log(&env, &disk, "log");
+  auto rec = [&](LogRecordType type, const std::string& session,
+                 uint64_t seqno = 0) {
+    LogRecord r;
+    r.type = type;
+    r.session_id = session;
+    r.seqno = seqno;
+    return r;
+  };
+  LogRecord start = rec(LogRecordType::kSessionStart, "s");
+  start.target = "cli";
+  log.Append(start);
+  log.Append(rec(LogRecordType::kRequestReceive, "s", 1));
+  log.Append(rec(LogRecordType::kRequestReceive, "s", 2));
+  log.Append(rec(LogRecordType::kSessionEnd, "s"));
+  const uint64_t again = log.Append(rec(LogRecordType::kRequestReceive, "s", 1));
+  LogRecord write = rec(LogRecordType::kSharedWrite, "writer");
+  write.var_id = "v";
+  const uint64_t write_lsn = log.Append(write);
+  LogRecord eos = rec(LogRecordType::kEos, "ghost");
+  eos.prev_lsn = again;
+  log.Append(eos);
+  const uint64_t r1 = log.Append(rec(LogRecordType::kRequestReceive, "t", 1));
+  const uint64_t r2 = log.Append(rec(LogRecordType::kReplyReceive, "t", 1));
+  LogRecord cut = rec(LogRecordType::kEos, "t");
+  cut.prev_lsn = r2;
+  const uint64_t cut_lsn = log.Append(cut);
+  const uint64_t r3 = log.Append(rec(LogRecordType::kRequestReceive, "t", 2));
+  log.Append(rec(LogRecordType::kRequestReceive, "u", 1));
+  log.Append(rec(LogRecordType::kSessionEnd, "u"));
+  LogRecord peer;
+  peer.type = LogRecordType::kRecoveredState;
+  peer.peer = "beta";
+  peer.peer_epoch = 3;
+  peer.peer_recovered_sn = 77;
+  log.Append(peer);
+  ASSERT_TRUE(log.FlushAll().ok());
+
+  LogAnalysis a;
+  uint64_t visited = 0;
+  ASSERT_TRUE(AnalyzeLog(&disk, "log", 0, disk.FileSize("log"), &a,
+                         [&](const LogRecord&, uint64_t) { ++visited; })
+                  .ok());
+  EXPECT_EQ(a.records, 14u);
+  EXPECT_EQ(visited, a.records);
+  EXPECT_EQ(a.end, LogEnd::kClean);
+  EXPECT_EQ(a.sessions.count("writer"), 0u);
+  EXPECT_EQ(a.sessions.count("ghost"), 0u);
+
+  const SessionAnalysis& s = a.sessions.at("s");
+  EXPECT_TRUE(s.restarted);
+  EXPECT_FALSE(s.ended);
+  EXPECT_EQ(s.first_lsn, again);
+  EXPECT_EQ(s.start_lsn, 0u);
+  EXPECT_TRUE(s.client.empty());
+  EXPECT_EQ(s.positions, std::vector<uint64_t>{again});
+  ASSERT_EQ(s.requests.size(), 1u);
+  EXPECT_EQ(s.requests[0].seqno, 1u);
+
+  const SessionAnalysis& t = a.sessions.at("t");
+  EXPECT_EQ(t.positions, (std::vector<uint64_t>{r1, r3}));
+  ASSERT_EQ(t.cuts.size(), 1u);
+  EXPECT_EQ(t.cuts[0].from_lsn, r2);
+  EXPECT_EQ(t.cuts[0].to_lsn, cut_lsn);
+  EXPECT_TRUE(a.sessions.at("u").ended);
+
+  EXPECT_EQ(a.vars.at("v").last_lsn, write_lsn);
+  EXPECT_EQ(a.vars.at("v").last_checkpoint_lsn, 0u);
+  ASSERT_TRUE(a.recovered.RecoveredSn("beta", 3).has_value());
+  EXPECT_EQ(*a.recovered.RecoveredSn("beta", 3), 77u);
+}
+
+TEST(PositionStreamTest, AddAndAll) {
+  PositionStream ps;
   for (uint64_t i = 0; i < 10; ++i) ps.Add(i * 100);
   EXPECT_EQ(ps.size(), 10u);
   auto all = ps.All();
@@ -380,35 +456,16 @@ TEST(PositionStreamTest, AddAndAll) {
   EXPECT_EQ(all[3], 300u);
 }
 
-TEST(PositionStreamTest, BufferFlushesToDiskAtCapacity) {
-  SimEnvironment env(0.0);
-  SimDisk disk(&env, "d");
-  PositionStream ps(&disk, "pos", 4);
-  for (uint64_t i = 0; i < 3; ++i) ps.Add(i);
-  std::vector<uint64_t> persisted;
-  ASSERT_TRUE(ps.LoadPersisted(&persisted).ok());
-  EXPECT_TRUE(persisted.empty());  // below capacity: buffered only
-  ps.Add(3);
-  ASSERT_TRUE(ps.LoadPersisted(&persisted).ok());
-  EXPECT_EQ(persisted.size(), 4u);
-}
-
 TEST(PositionStreamTest, TruncateDropsEverything) {
-  SimEnvironment env(0.0);
-  SimDisk disk(&env, "d");
-  PositionStream ps(&disk, "pos", 2);
+  PositionStream ps;
   for (uint64_t i = 0; i < 6; ++i) ps.Add(i);
   ps.Truncate();
   EXPECT_EQ(ps.size(), 0u);
-  std::vector<uint64_t> persisted;
-  ASSERT_TRUE(ps.LoadPersisted(&persisted).ok());
-  EXPECT_TRUE(persisted.empty());
+  EXPECT_TRUE(ps.All().empty());
 }
 
 TEST(PositionStreamTest, RemoveRangeCutsOrphanSpan) {
-  SimEnvironment env(0.0);
-  SimDisk disk(&env, "d");
-  PositionStream ps(&disk, "pos", 100);
+  PositionStream ps;
   for (uint64_t i = 0; i < 10; ++i) ps.Add(i * 10);
   ps.RemoveRange(30, 60);  // removes 30,40,50,60
   auto all = ps.All();
@@ -417,27 +474,15 @@ TEST(PositionStreamTest, RemoveRangeCutsOrphanSpan) {
   EXPECT_EQ(all[3], 70u);
 }
 
-// ReplaceAll writes nothing: the stale file is truncated at the next buffer
-// flush, and LoadPersisted reports only what this stream persisted.
 TEST(PositionStreamTest, ReplaceAllAfterCrashReconstruction) {
-  SimEnvironment env(0.0);
-  SimDisk disk(&env, "d");
-  PositionStream ps(&disk, "pos", 2);
+  PositionStream ps;
   for (uint64_t i = 0; i < 6; ++i) ps.Add(i);
-  const uint64_t flushes = env.stats().disk_flushes.load();
   ps.ReplaceAll({100, 200, 300});
-  EXPECT_EQ(env.stats().disk_flushes.load(), flushes);
   auto all = ps.All();
   ASSERT_EQ(all.size(), 3u);
   EXPECT_EQ(all[0], 100u);
-  std::vector<uint64_t> persisted;
-  ASSERT_TRUE(ps.LoadPersisted(&persisted).ok());
-  EXPECT_TRUE(persisted.empty());
-
-  ps.Add(400);  // back at capacity: truncate, then persist the new stream
-  ASSERT_TRUE(ps.LoadPersisted(&persisted).ok());
-  EXPECT_EQ(persisted, (std::vector<uint64_t>{100, 200, 300, 400}));
-  EXPECT_EQ(disk.FileSize("pos"), 4 * sizeof(uint64_t));
+  ps.Add(400);  // appends continue from the rebuilt stream
+  EXPECT_EQ(ps.All(), (std::vector<uint64_t>{100, 200, 300, 400}));
 }
 
 }  // namespace

@@ -297,6 +297,26 @@ TEST_F(MspRecoveryTest, EndedSessionsAreNotResurrected) {
   EXPECT_FALSE(msp_->HasSession(session.session_id));
 }
 
+// Position streams live in memory only: a workload that checkpoints its
+// session, crashes and replays leaves no pos/ file on the MSP's disk.
+TEST_F(MspRecoveryTest, PositionStreamsWriteNoFiles) {
+  MspConfig c = BaseConfig();
+  c.session_checkpoint_threshold_bytes = 256;
+  StartMsp(c);
+  ClientEndpoint client(&env_, &net_, "cli");
+  auto session = client.StartSession("alpha");
+  Bytes reply;
+  for (int i = 0; i < 20; ++i) {
+    ASSERT_TRUE(client.Call(&session, "add_shared", "1", &reply).ok());
+  }
+  CrashAndRestart();
+  ASSERT_TRUE(client.Call(&session, "add_shared", "1", &reply).ok());
+  EXPECT_EQ(reply, "21");
+  for (const std::string& f : disk_.ListFiles()) {
+    EXPECT_NE(f.rfind("pos/", 0), 0u) << "position-stream file " << f;
+  }
+}
+
 TEST_F(MspRecoveryTest, RequestsDuringRecoveryEventuallyServed) {
   // Crash with a populated log; issue a request immediately after Start
   // returns (sessions may still be replaying).

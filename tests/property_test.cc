@@ -270,9 +270,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, CodecFuzzTest, ::testing::Values(11, 22, 33));
 // ---------------------------------------------------------------------------
 
 TEST(PositionSkipTest, EmbeddedRangesNest) {
-  SimEnvironment env(0.0);
-  SimDisk disk(&env, "d");
-  PositionStream ps(&disk, "pos", 100);
+  PositionStream ps;
   for (uint64_t i = 1; i <= 10; ++i) ps.Add(i * 10);
   // Inner skip [40,60] then outer skip [20,90]: the embedded case.
   ps.RemoveRange(40, 60);
@@ -284,9 +282,7 @@ TEST(PositionSkipTest, EmbeddedRangesNest) {
 }
 
 TEST(PositionSkipTest, DisjointRanges) {
-  SimEnvironment env(0.0);
-  SimDisk disk(&env, "d");
-  PositionStream ps(&disk, "pos", 100);
+  PositionStream ps;
   for (uint64_t i = 1; i <= 10; ++i) ps.Add(i * 10);
   ps.RemoveRange(20, 30);
   ps.RemoveRange(70, 80);

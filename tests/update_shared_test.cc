@@ -135,6 +135,36 @@ TEST_F(UpdateSharedTest, ReplayReappliesFnToLoggedValue) {
   EXPECT_EQ(*msp_->PeekSharedValue("counter"), "5");
 }
 
+// A write record is the variable's, not the session's (Fig. 8), so the
+// session's DV stays at its read. Here the read is already durable — the
+// FlushAll stands in for a concurrent session's flush — when the write is
+// appended: the reply's flush must still cover the write, or the crash
+// loses a write the client saw acknowledged.
+TEST_F(UpdateSharedTest, AcknowledgedWriteSurvivesCrash) {
+  MspConfig c;
+  c.id = "alpha";
+  c.checkpoint_daemon = false;
+  StartMsp(c);
+  msp_->RegisterMethod(
+      "read_flush_write", [this](ServiceContext* ctx, const Bytes&, Bytes* r) {
+        Bytes cur;
+        MSPLOG_RETURN_IF_ERROR(ctx->ReadShared("counter", &cur));
+        if (!ctx->in_replay()) MSPLOG_RETURN_IF_ERROR(msp_->log()->FlushAll());
+        *r = std::to_string(std::stol(cur) + 1);
+        return ctx->WriteShared("counter", *r);
+      });
+  ClientEndpoint client(&env_, &net_, "cli");
+  auto session = client.StartSession("alpha");
+  Bytes reply;
+  ASSERT_TRUE(client.Call(&session, "read_flush_write", "", &reply).ok());
+  EXPECT_EQ(reply, "1");
+  msp_->Crash();
+  ASSERT_TRUE(msp_->Start().ok());
+  auto v = msp_->PeekSharedValue("counter");
+  ASSERT_TRUE(v.ok());
+  EXPECT_EQ(*v, "1");
+}
+
 TEST_F(UpdateSharedTest, WorksWithCheckpointThresholds) {
   MspConfig c;
   c.id = "alpha";

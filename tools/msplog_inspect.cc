@@ -3,8 +3,10 @@
 // A log image is the raw bytes of one MSP's physical log file (e.g. written
 // by a test via SimDisk::ReadAt of "<msp>.log", or any future export path).
 // The inspector loads the bytes into a fresh latency-free SimDisk and walks
-// them with the same scanner crash recovery uses — so what it accepts is
-// exactly what recovery would accept.
+// them with the same analysis pass crash recovery runs (AnalyzeLog) — so
+// what it accepts is exactly what recovery would accept. A bad frame with
+// an intact frame after it is mid-log corruption, which fails --self-check;
+// one with nothing intact after it is a torn tail, which does not.
 //
 // Usage:
 //   msplog_inspect [--records] [--checkpoints] [--stats] [--json]
@@ -16,7 +18,7 @@
 //                  SessionStats shape the live server's telemetry reports
 //   --json         print the report as JSON instead of text
 //   --self-check   exit 1 unless the image has records and no invariant
-//                  violations (CI gate)
+//                  violations, mid-log corruption included (CI gate)
 //   --archive-manifest FILE
 //                  overlay archived log segments into the image before the
 //                  walk. Each manifest line is "<base-lsn> <segment-file>"
