@@ -38,6 +38,12 @@ Checks enforced over src/ (stdlib only, no third-party deps):
                        direct `msg.type = MessageType::kFlushRequest`
                        anywhere else bypasses group commit and duplicates
                        in-flight requests. Comparisons (switch/==) are fine.
+  baseline-seam        the §5 baselines' storage stays behind SessionStore
+                       (src/baseline/session_store.h): no file under
+                       src/msp includes a `db/` header or spells a `__ss_`
+                       state-server method. The protocol class reaches
+                       Psession's KvDb and the state server's wire format
+                       only through the store.
   guarded-by           in headers under src/, a mutable data member declared
                        after an audit::Mutex/SharedMutex member of the same
                        class must carry GUARDED_BY/PT_GUARDED_BY. Exempt:
@@ -71,9 +77,9 @@ Checks enforced over src/ (stdlib only, no third-party deps):
                        built by concatenation.
 
 Exit status: 0 clean, 1 findings (one `file:line: [check] message` per line).
-Run with --self-test to prove the hot-path-alloc and json-by-hand rules
-still fire on known-bad input (a broken rule would otherwise pass
-everything forever).
+Run with --self-test to prove the hot-path-alloc, json-by-hand and
+baseline-seam rules still fire on known-bad input (a broken rule would
+otherwise pass everything forever).
 """
 
 import re
@@ -97,6 +103,9 @@ OBS_FORBIDDEN_INCLUDE = re.compile(
 # Assignment (construction) of a kFlushRequest message; `==`/`!=`/`<=`/`>=`
 # comparisons and case labels don't match.
 FLUSH_SEND = re.compile(r"(?<![=!<>])=\s*MessageType::kFlushRequest")
+# baseline-seam: matched against the raw line, since both the include path
+# and the method name live inside string literals.
+BASELINE_STORAGE = re.compile(r'#\s*include\s*"db/|__ss_')
 
 GUARD_DECL = re.compile(
     r"\b(?:audit::(?:LockGuard|UniqueLock|SharedLock|SharedUniqueLock)|"
@@ -244,6 +253,12 @@ def lint_source(rel, raw, findings):
                 "the flush aggregator; route the flush through "
                 "FlushAggregator::Submit so it can coalesce")
 
+        if rel.startswith("src/msp/") and BASELINE_STORAGE.search(raw_line):
+            findings.append(
+                f"{rel}:{lineno}: [baseline-seam] baseline storage named in "
+                "the protocol; reach it through SessionStore "
+                "(src/baseline/session_store.h)")
+
         if hot_path and "hot-path-alloc" not in allow:
             if STD_FUNCTION.search(line):
                 findings.append(
@@ -384,8 +399,9 @@ def lint_requires_assertheld(header_texts, all_texts, findings):
 
 
 def self_test():
-    """Prove hot-path-alloc fires on known-bad input and stays quiet
-    otherwise. Exercised by the lint_msplog_selftest CTest."""
+    """Prove hot-path-alloc, json-by-hand and baseline-seam fire on
+    known-bad input and stay quiet otherwise. Exercised by the
+    lint_msplog_selftest CTest."""
     bad = [
         "// lint:hot-path",
         "#include <functional>",
@@ -429,6 +445,24 @@ def self_test():
     if any("[json-by-hand]" in f for f in findings):
         sys.exit("lint_msplog: self-test FAILED: json-by-hand fired inside "
                  "the writer:\n" + "\n".join(findings))
+    seam_bad = [
+        '#include "db/kvdb.h"',                     # finding 1
+        'req.method = "__ss_get";',                 # finding 2
+        '#include "baseline/session_store.h"',
+    ]
+    findings = []
+    lint_source("src/msp/fake.cc", seam_bad, findings)
+    hits = [f for f in findings if "[baseline-seam]" in f]
+    if len(hits) != 2:
+        sys.exit("lint_msplog: self-test FAILED: expected exactly 2 "
+                 "baseline-seam findings on the bad fixture, got %d:\n%s"
+                 % (len(hits), "\n".join(findings)))
+    findings = []
+    # The baselines' own module is where that storage belongs.
+    lint_source("src/baseline/fake.cc", seam_bad, findings)
+    if any("[baseline-seam]" in f for f in findings):
+        sys.exit("lint_msplog: self-test FAILED: baseline-seam fired inside "
+                 "src/baseline:\n" + "\n".join(findings))
     print("lint_msplog: self-test OK")
     return 0
 

@@ -72,4 +72,35 @@ void StateServerNode::Loop() {
   }
 }
 
+Status StateServerClient::RoundTrip(const std::string& session_id,
+                                    const char* method, Bytes payload,
+                                    Message* reply) {
+  Message req;
+  req.type = MessageType::kRequest;
+  req.sender = self_;
+  req.session_id = self_ + "/" + session_id + "@ss";
+  req.seqno = next_seqno_.fetch_add(1, std::memory_order_relaxed);
+  req.method = method;
+  req.payload = std::move(payload);
+  return call_(server_, req, reply);
+}
+
+Status StateServerClient::Get(const std::string& session_id, Bytes* blob) {
+  Message rep;
+  MSPLOG_RETURN_IF_ERROR(RoundTrip(session_id, "__ss_get", session_id, &rep));
+  if (rep.payload.empty()) return Status::Corruption("bad state reply");
+  if (rep.payload[0] != 1) return Status::NotFound(session_id);
+  *blob = rep.payload.substr(1);
+  return Status::OK();
+}
+
+Status StateServerClient::Put(const std::string& session_id,
+                              const Bytes& blob) {
+  BinaryWriter w;
+  w.PutBytes(session_id);
+  w.PutBytes(blob);
+  Message rep;
+  return RoundTrip(session_id, "__ss_put", w.Take(), &rep);
+}
+
 }  // namespace msplog

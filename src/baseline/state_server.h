@@ -4,20 +4,24 @@
 // server crashes, every session state is gone — exactly the weakness the
 // paper contrasts with log-based recovery.
 //
-// Protocol (over SimNetwork, reusing the rpc::Message frame):
+// Protocol (over SimNetwork, reusing the rpc::Message frame), spoken only
+// by StateServerNode and StateServerClient below:
 //   method "__ss_get": payload = session key
 //                      reply   = [u8 found][blob]
 //   method "__ss_put": payload = PutBytes(key) PutBytes(blob)
 //                      reply   = empty
 #pragma once
 
+#include <atomic>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <string>
 #include <thread>
 
 #include "audit/mutex.h"
+#include "baseline/session_store.h"
 #include "common/bytes.h"
 #include "common/status.h"
 #include "rpc/message.h"
@@ -52,6 +56,32 @@ class StateServerNode {
 
   mutable audit::Mutex mu_{"state_server"};
   std::map<std::string, Bytes> store_ GUARDED_BY(mu_);
+};
+
+/// The MSP side of the protocol: StateServer's SessionStore, one round trip
+/// to `server` per Get and per Put. `call` sends a request and awaits its
+/// reply (Msp::CallRoundTrip).
+class StateServerClient : public SessionStore {
+ public:
+  using CallFn = std::function<Status(const std::string& dest,
+                                      const Message& req, Message* reply)>;
+  StateServerClient(std::string self, std::string server, CallFn call)
+      : self_(std::move(self)),
+        server_(std::move(server)),
+        call_(std::move(call)) {}
+
+  Status Get(const std::string& session_id, Bytes* blob) override;
+  Status Put(const std::string& session_id, const Bytes& blob) override;
+
+ private:
+  Status RoundTrip(const std::string& session_id, const char* method,
+                   Bytes payload, Message* reply);
+
+  const std::string self_, server_;
+  const CallFn call_;
+  /// One counter for every session: a request's pending-call key,
+  /// ("<self>/<session>@ss", seqno), never repeats.
+  std::atomic<uint64_t> next_seqno_{1};
 };
 
 }  // namespace msplog

@@ -70,7 +70,6 @@ PaperWorkload::PaperWorkload(PaperWorkloadOptions options)
     c.busy_backoff_ms = options_.client_busy_backoff_ms;
     c.single_core_cpu = options_.single_core_cpu;
     c.cpu_per_flush_ms = options_.cpu_per_flush_ms;
-    c.method_overhead_ms = 0;  // methods call Compute() themselves
     c.state_server = "stateserver";
     return c;
   };

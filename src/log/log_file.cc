@@ -365,7 +365,6 @@ Status LogFile::DrainLocked(audit::UniqueLock& lk) {
     // block by block; make sure the full batch is published.
     if (durable_end_.load(std::memory_order_relaxed) < batch_base + total) {
       durable_end_.store(batch_base + total, std::memory_order_release);
-      durable_gen_.fetch_add(1, std::memory_order_release);
     }
     // Each arena's end is where the next one starts.
     for (const LogArena* a : batch) {
@@ -403,7 +402,6 @@ void LogFile::OnDiskWrite(uint64_t offset, uint64_t bytes) {
   // (per-request trace chains rely on that order).
   if (durable_end_.load(std::memory_order_relaxed) == offset) {
     durable_end_.store(offset + bytes, std::memory_order_release);
-    durable_gen_.fetch_add(1, std::memory_order_release);
   }
 }
 

@@ -257,9 +257,6 @@ class LogFile {
   /// Durable-LSN watermark: first offset NOT yet durable. Written under mu_
   /// (completion hook / writer), read lock-free by the FlushUpTo fast path.
   std::atomic<uint64_t> durable_end_{0};
-  /// Generation counter bumped on every watermark advance — a futex-style
-  /// epoch for observers that want "did durability move?" without the lock.
-  std::atomic<uint64_t> durable_gen_{0};
   std::atomic<bool> crashed_{false};
 
   mutable audit::Mutex mu_{"log_file"};

@@ -156,9 +156,7 @@ Status ExecContext::ReadShared(const std::string& name, Bytes* out) {
       // §4.1: reading a shared variable gets its value from the log; the
       // session's DV and state number advance exactly as they did during
       // normal execution.
-      s_->state_number = rec.lsn;
-      s_->dv.Set(msp_->config().id, StateId{msp_->epoch(), rec.lsn});
-      if (rec.has_dv) s_->dv.Merge(rec.dv);
+      msp_->AdoptReplayedRecord(s_, rec);
       *out = rec.payload;
       return Status::OK();
     }
@@ -186,9 +184,7 @@ Status ExecContext::UpdateShared(const std::string& name,
     if (!run_live) {
       // Same replay rules as a read followed by a (skipped) write: the
       // deterministic `fn` re-derives the value the method continued with.
-      s_->state_number = rec.lsn;
-      s_->dv.Set(msp_->config().id, StateId{msp_->epoch(), rec.lsn});
-      if (rec.has_dv) s_->dv.Merge(rec.dv);
+      msp_->AdoptReplayedRecord(s_, rec);
       Bytes result = fn(rec.payload);
       if (out) *out = std::move(result);
       return Status::OK();
@@ -214,9 +210,7 @@ Status ExecContext::Call(const std::string& target_msp,
         o.session_id = msp_->config().id + "/" + s_->id + ">" + target_msp;
       }
       o.next_seqno = rec.seqno + 1;
-      s_->state_number = rec.lsn;
-      s_->dv.Set(msp_->config().id, StateId{msp_->epoch(), rec.lsn});
-      if (rec.has_dv) s_->dv.Merge(rec.dv);
+      msp_->AdoptReplayedRecord(s_, rec);
       *reply = rec.payload;
       if (static_cast<ReplyCode>(rec.aux) == ReplyCode::kAppError) {
         return Status::Aborted("remote application error: " + *reply);

@@ -4,6 +4,8 @@
 #include <algorithm>
 #include <utility>
 
+#include "msp/msp_config.h"
+
 namespace msplog {
 
 FlushAggregator::FlushAggregator(SimEnvironment* env, Options opts, SendFn send)
@@ -158,7 +160,7 @@ void FlushAggregator::HandleReply(const Message& m) {
   if (!m.flush_ok && m.rec_epoch == 0) {
     // Non-authoritative failure (epochs start at 1): the peer may be
     // mid-crash; resend and keep waiting for its recovery to answer.
-    if (f.round >= opts_.max_rounds) {
+    if (f.round >= kMaxSendRounds) {
       TimeOutFlightLocked(it->first);
       return;
     }
@@ -222,7 +224,7 @@ void FlushAggregator::OnWaitTimeout(const std::shared_ptr<FlushWaiter>& w) {
     w->observed_round = f.round;
     return;
   }
-  if (f.round >= opts_.max_rounds) {
+  if (f.round >= kMaxSendRounds) {
     TimeOutFlightLocked(fid);
     return;
   }

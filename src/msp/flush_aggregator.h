@@ -93,8 +93,6 @@ class FlushAggregator {
     /// Join/accumulate legs per peer. When false every leg launches its own
     /// flight — today's per-request behaviour, kept for the ablation knob.
     bool coalesce = true;
-    /// Send rounds per flight before its waiters settle as timed out.
-    uint32_t max_rounds = 200;
   };
   using SendFn = std::function<void(const MspId& peer, const Bytes& wire)>;
 
@@ -115,7 +113,7 @@ class FlushAggregator {
 
   /// Called by the waiting thread after a timeout round with no settlement:
   /// resends the stalled flight (once per round across all its waiters) or,
-  /// past the round budget, times the whole flight out.
+  /// after kMaxSendRounds rounds, times the whole flight out.
   void OnWaitTimeout(const std::shared_ptr<FlushWaiter>& w);
 
   /// Detach a waiter whose caller stopped caring (early exit on another

@@ -7,6 +7,8 @@
 #include <thread>
 
 #include "audit/invariants.h"
+#include "baseline/session_store.h"
+#include "baseline/state_server.h"
 #include "msp/exec_context.h"
 #include "msp/recovery_coordinator.h"
 #include "obs/json.h"
@@ -28,6 +30,7 @@ Msp::Msp(SimEnvironment* env, SimNetwork* network, SimDisk* disk,
   hist_request_ms_ = m.GetHistogram("msp.request_ms");
   hist_replay_ms_ = m.GetHistogram("msp.replay_ms");
   ctr_requests_ = m.GetCounter("msp.requests");
+  ctr_own_requests_ = m.GetCounter(config_.id + ".requests");
   gauge_crash_generation_ = m.GetGauge(config_.id + ".crash_generation");
 
   // Black-box registration: at any freeze (our crash, or any invariant
@@ -39,7 +42,6 @@ Msp::Msp(SimEnvironment* env, SimNetwork* network, SimDisk* disk,
   FlushAggregator::Options fopt;
   fopt.self = config_.id;
   fopt.coalesce = config_.coalesce_distributed_flushes;
-  fopt.max_rounds = config_.max_call_sends;
   flush_agg_ = std::make_unique<FlushAggregator>(
       env_, fopt, [this](const MspId& peer, const Bytes& wire) {
         network_->Send(config_.id, peer, wire);
@@ -135,8 +137,16 @@ Status Msp::Start() {
   last_msp_cp_log_end_.store(0);
 
   if (config_.mode == RecoveryMode::kPsession) {
-    psession_db_ = std::make_unique<KvDb>(env_, disk_, config_.id + ".db");
-    MSPLOG_RETURN_IF_ERROR(psession_db_->Recover());
+    auto db = std::make_unique<KvDbSessionStore>(env_, disk_,
+                                                 config_.id + ".db");
+    MSPLOG_RETURN_IF_ERROR(db->Recover());
+    store_ = std::move(db);
+  } else if (config_.mode == RecoveryMode::kStateServer) {
+    store_ = std::make_unique<StateServerClient>(
+        config_.id, config_.state_server,
+        [this](const std::string& dest, const Message& req, Message* reply) {
+          return CallRoundTrip(dest, req, /*check_orphan_reply=*/false, reply);
+        });
   }
 
   if (config_.mode == RecoveryMode::kLogBased) {
@@ -248,7 +258,7 @@ void Msp::CrashLocked(bool is_crash) {
     pending_calls_.clear();
   }
   inbound_flush_.reset();
-  psession_db_.reset();
+  store_.reset();
   {
     // Detach the scraper probe before the pool dies: the probe thread only
     // dereferences probe_pool_ under probe_mu_, so after this block no
@@ -423,8 +433,7 @@ void Msp::SessionWorker(std::shared_ptr<Session> s) {
       continue;
     }
     if (take_cp) {
-      if (config_.mode == RecoveryMode::kLogBased && !s->ended &&
-          s->first_lsn.load() != 0) {
+      if (!s->ended && s->first_lsn.load() != 0) {
         Status st = TakeSessionCheckpoint(s.get());
         if (st.IsOrphan()) (void)RecoverSessionReplay(s.get());
       }
@@ -435,35 +444,41 @@ void Msp::SessionWorker(std::shared_ptr<Session> s) {
       hist_queue_wait_ms_->Record(t_start - enqueue_ms);
       env_->tracer().Record(obs::TraceEventType::kDequeue, t_start, config_.id,
                             s->id, m.seqno, m.method, span);
-      ProcessRequest(s, m, span);
+      // kCrashed/kTimedOut: the client resends; nothing more to do here.
+      (void)ProcessRequest(s.get(), m, span);
       hist_request_ms_->Record(env_->NowModelMs() - t_start);
       ctr_requests_->Add(1);
+      ctr_own_requests_->Add(1);
     }
   }
 }
 
-void Msp::ProcessRequest(const std::shared_ptr<Session>& s, const Message& m,
-                         const obs::SpanContext& span) {
-  Status st = config_.mode == RecoveryMode::kLogBased
-                  ? ProcessRequestLogBased(s.get(), m, span)
-                  : ProcessRequestBaseline(s.get(), m, span);
-  (void)st;  // kCrashed/kTimedOut: client resends; nothing more to do here
-}
-
 // ---------------------------------------------------------------------------
-// Request processing — log-based mode (§3)
+// Request processing (§3; the §5 baselines skip every log-based step)
 // ---------------------------------------------------------------------------
 
-Status Msp::ProcessRequestLogBased(Session* s, const Message& m,
-                                   const obs::SpanContext& span) {
-  // Interception point (§4.1): lazy orphan check on request receive.
-  if (SessionIsOrphan(s)) {
-    MSPLOG_RETURN_IF_ERROR(RecoverSessionReplay(s));
+Status Msp::ProcessRequest(Session* s, const Message& m,
+                           const obs::SpanContext& span) {
+  const bool log_based = config_.mode == RecoveryMode::kLogBased;
+  const bool end_session = m.method == "__end_session";
+  bool state_found = false;
+  if (log_based) {
+    // Interception point (§4.1): lazy orphan check on request receive.
+    if (SessionIsOrphan(s)) {
+      MSPLOG_RETURN_IF_ERROR(RecoverSessionReplay(s));
+    }
+    // Auditor: since the last request boundary the session's DV may only
+    // have grown (any recovery in between re-synced the shadow).
+    audit::CheckDvMonotonic("session " + s->id, s->audit_shadow_dv, s->dv);
+  } else if (store_ && !end_session) {
+    // A stateful baseline keeps the session's state in its store between
+    // requests; a session that is ending needs none of it.
+    Bytes blob;
+    Status st = store_->Get(s->id, &blob);
+    if (!st.ok() && !st.IsNotFound()) return st;
+    state_found = st.ok();
+    if (state_found) MSPLOG_RETURN_IF_ERROR(s->DecodeCheckpoint(blob));
   }
-
-  // Auditor: since the last request boundary the session's DV may only have
-  // grown (any recovery in between re-synced the shadow).
-  audit::CheckDvMonotonic("session " + s->id, s->audit_shadow_dv, s->dv);
 
   // Duplicate / out-of-order detection (§3.1).
   if (m.seqno < s->next_expected_seqno) {
@@ -475,7 +490,13 @@ Status Msp::ProcessRequestLogBased(Session* s, const Message& m,
     }
     return Status::OK();  // stale duplicate
   }
-  if (m.seqno > s->next_expected_seqno) return Status::OK();  // out of order
+  if (m.seqno > s->next_expected_seqno) {
+    if (log_based || state_found) return Status::OK();  // out of order
+    // A baseline lost the duplicate-detection state (NoLog crash, or the
+    // state server died): accept the client's sequence as the new truth.
+    // This is exactly the exactly-once guarantee these baselines lack.
+    s->next_expected_seqno = m.seqno;
+  }
 
   // Fig. 7, receive side: an orphan message is discarded outright; the
   // sender session will be rolled back and will resend. We extend the
@@ -507,29 +528,31 @@ Status Msp::ProcessRequestLogBased(Session* s, const Message& m,
     }
   }
 
-  if (m.method == "__end_session") {
-    // Cascade: end the outgoing sessions this session started (§2.1 — a
-    // session is started AND ended by a client request). Best effort; an
-    // unreachable target's session is cleaned up by its own end-of-life
-    // handling when requests for it error out.
-    for (auto& [target, o] : s->outgoing) {
-      Message endreq;
-      endreq.type = MessageType::kRequest;
-      endreq.sender = config_.id;
-      endreq.session_id = o.session_id;
-      endreq.seqno = o.next_seqno;
-      endreq.method = "__end_session";
-      Message rep;
-      (void)CallRoundTrip(target, endreq, /*check_orphan_reply=*/false, &rep,
-                          /*max_sends=*/3);
+  if (end_session) {
+    if (log_based) {
+      // Cascade: end the outgoing sessions this session started (§2.1 — a
+      // session is started AND ended by a client request). Best effort; an
+      // unreachable target's session is cleaned up by its own end-of-life
+      // handling when requests for it error out.
+      for (auto& [target, o] : s->outgoing) {
+        Message endreq;
+        endreq.type = MessageType::kRequest;
+        endreq.sender = config_.id;
+        endreq.session_id = o.session_id;
+        endreq.seqno = o.next_seqno;
+        endreq.method = "__end_session";
+        Message rep;
+        (void)CallRoundTrip(target, endreq, /*check_orphan_reply=*/false,
+                            &rep, /*max_sends=*/3);
+      }
+      LogRecord end;
+      end.type = LogRecordType::kSessionEnd;
+      end.session_id = s->id;
+      uint64_t lsn = log_->Append(end);
+      // The end record must survive a crash or the session gets resurrected.
+      MSPLOG_RETURN_IF_ERROR(log_->FlushUpTo(lsn));
+      s->positions.Truncate();
     }
-    LogRecord end;
-    end.type = LogRecordType::kSessionEnd;
-    end.session_id = s->id;
-    uint64_t lsn = log_->Append(end);
-    // The end record must survive a crash or the session gets resurrected.
-    MSPLOG_RETURN_IF_ERROR(log_->FlushUpTo(lsn));
-    s->positions.Truncate();
     {
       audit::LockGuard lk(sessions_mu_);
       s->ended = true;
@@ -537,17 +560,16 @@ Status Msp::ProcessRequestLogBased(Session* s, const Message& m,
     return SendReply(s, ReplyCode::kOk, "", m.seqno, span);
   }
 
-  // First activity of a fresh session: mark its start in the log.
-  if (s->first_lsn.load() == 0) {
-    LogRecord start;
-    start.type = LogRecordType::kSessionStart;
-    start.session_id = s->id;
-    start.target = s->client;
-    s->first_lsn.store(log_->Append(start));
-  }
-
-  // Log the nondeterministic event: the request receive.
-  {
+  if (log_based) {
+    // First activity of a fresh session: mark its start in the log.
+    if (s->first_lsn.load() == 0) {
+      LogRecord start;
+      start.type = LogRecordType::kSessionStart;
+      start.session_id = s->id;
+      start.target = s->client;
+      s->first_lsn.store(log_->Append(start));
+    }
+    // Log the nondeterministic event: the request receive.
     LogRecord rec;
     rec.type = LogRecordType::kRequestReceive;
     rec.seqno = m.seqno;
@@ -582,18 +604,23 @@ Status Msp::ProcessRequestLogBased(Session* s, const Message& m,
   if (st.IsOrphan()) return RecoverSessionReplay(s);
   if (st.IsCrashed() || st.IsTimedOut()) return st;
 
+  // Buffer the reply before sending it: a retry of this seqno is answered
+  // from the buffer, never executed again — also when the send itself
+  // fails, e.g. because its pessimistic flush timed out.
   ReplyCode code = st.ok() ? ReplyCode::kOk : ReplyCode::kAppError;
-  Bytes payload = st.ok() ? std::move(result) : Bytes(st.ToString());
-
-  Status rst = SendReply(s, code, payload, m.seqno, span);
+  s->buffered_reply = {true, m.seqno, code,
+                       st.ok() ? std::move(result) : Bytes(st.ToString())};
+  s->next_expected_seqno = m.seqno + 1;
+  if (store_) {
+    MSPLOG_RETURN_IF_ERROR(store_->Put(s->id, s->EncodeCheckpoint()));
+  }
+  Status rst = SendReply(s, code, s->buffered_reply.payload, m.seqno, span);
   if (rst.IsOrphan()) return RecoverSessionReplay(s);
   MSPLOG_RETURN_IF_ERROR(rst);
-
-  s->buffered_reply = {true, m.seqno, code, payload};
-  s->next_expected_seqno = m.seqno + 1;
   s->audit_shadow_dv = s->dv;
 
-  // Session checkpoint, only between requests (§3.2).
+  // Session checkpoint, only between requests (§3.2). A baseline never logs
+  // a byte, so its threshold never trips.
   if (config_.session_checkpoint_threshold_bytes > 0 &&
       s->bytes_logged_since_cp >= config_.session_checkpoint_threshold_bytes) {
     Status cst = TakeSessionCheckpoint(s, span);
@@ -610,7 +637,6 @@ Status Msp::InvokeMethod(const std::string& method, ExecContext* ctx,
   if (it == methods_.end()) {
     return Status::InvalidArgument("no such method: " + method);
   }
-  if (config_.method_overhead_ms > 0) ctx->Compute(config_.method_overhead_ms);
   return it->second(ctx, arg, result);
 }
 
@@ -628,34 +654,45 @@ Status Msp::SendReply(Session* s, ReplyCode code, const Bytes& payload,
   r.parent_span_id = span.span_id;
   const Bytes* dv_wire = nullptr;
   if (config_.mode == RecoveryMode::kLogBased) {
-    if (IntraDomain(s->client)) {
-      // Optimistic: attach the sender session's DV (Fig. 7) — or the whole
-      // process's DV in the §3.2-strawman mode. The per-session path splices
-      // the session's cached wire encoding instead of copying the DV map
-      // into the message.
-      r.has_dv = true;
-      if (config_.per_session_dv) {
-        dv_wire = &s->CachedDvWire();
-        env_->stats().dv_entries_attached.fetch_add(s->dv.entry_count());
-      } else {
-        r.dv = MspWideDv(s);
-        env_->stats().dv_entries_attached.fetch_add(r.dv.entry_count());
-      }
-      s->stats.OnPiggybackedSend();
-    } else {
-      // Pessimistic: output messages must never become orphans (§2.3).
-      const DependencyVector flush_dv = PessimisticFlushDv(s);
-      MSPLOG_RETURN_IF_ERROR(DistributedFlush(flush_dv, span, s));
-      audit::CheckWalBeforeSend("reply to " + s->client, config_.id,
-                                epoch_.load(), flush_dv,
-                                log_->durable_lsn());
-    }
+    MSPLOG_RETURN_IF_ERROR(ApplySendRule(s, IntraDomain(s->client),
+                                         "reply to ", s->client, span, &r,
+                                         &dv_wire));
   }
   Bytes wire;
   r.AppendTo(&wire, dv_wire);
   network_->Send(config_.id, s->client, std::move(wire));
   env_->tracer().Record(obs::TraceEventType::kReplySent, env_->NowModelMs(),
                         config_.id, s->id, seqno, "", span);
+  return Status::OK();
+}
+
+Status Msp::ApplySendRule(Session* s, bool intra, const char* what,
+                          const std::string& dest,
+                          const obs::SpanContext& span, Message* m,
+                          const Bytes** dv_wire) {
+  if (intra) {
+    // Optimistic: attach the sender session's DV — or the whole process's
+    // DV in the §3.2-strawman mode. The per-session path splices the
+    // session's cached wire encoding instead of copying the DV map into the
+    // message (the cache stays valid until the message is encoded: only
+    // this worker thread mutates s->dv).
+    m->has_dv = true;
+    if (config_.per_session_dv) {
+      *dv_wire = &s->CachedDvWire();
+      env_->stats().dv_entries_attached.fetch_add(s->dv.entry_count());
+    } else {
+      m->dv = MspWideDv(s);
+      env_->stats().dv_entries_attached.fetch_add(m->dv.entry_count());
+    }
+    s->stats.OnPiggybackedSend();
+    return Status::OK();
+  }
+  // Pessimistic: an output leaving the service domain must never become an
+  // orphan (§2.3), so its dependencies are flushed before it is sent.
+  const DependencyVector flush_dv = PessimisticFlushDv(s);
+  MSPLOG_RETURN_IF_ERROR(DistributedFlush(flush_dv, span, s));
+  audit::CheckWalBeforeSend(what + dest, config_.id, epoch_.load(), flush_dv,
+                            log_->durable_lsn());
   return Status::OK();
 }
 
@@ -701,61 +738,19 @@ std::shared_ptr<SharedVariable> Msp::GetOrCreateSharedVar(
   return v;
 }
 
-Status Msp::SharedReadImpl(Session* s, const std::string& name, Bytes* out) {
-  auto var = GetOrCreateSharedVar(name);
-  if (config_.mode != RecoveryMode::kLogBased) {
-    audit::SharedLock lk(var->rw);
-    *out = var->value;
-    return Status::OK();
-  }
-  // Interception point: the reader session's own orphan status.
-  if (SessionIsOrphan(s)) return Status::Orphan("session " + s->id);
-
-  // Fig. 8, read: check whether the variable's value is an orphan; if so,
-  // the reader itself rolls it back along the backward chain (§4.2).
-  audit::SharedLock rlk(var->rw);
-  if (DvIsOrphan(var->dv)) {
-    rlk.unlock();
-    audit::SharedUniqueLock wlk(var->rw);
-    if (DvIsOrphan(var->dv)) {
-      env_->stats().orphans_detected.fetch_add(1);
-      MSPLOG_RETURN_IF_ERROR(UndoSharedVariable(var.get()));
-    }
-    // Value logging under the exclusive lock — correct, just conservative.
-    LogRecord rec;
-    rec.type = LogRecordType::kSharedRead;
-    rec.var_id = name;
-    rec.payload = var->value;
-    rec.has_dv = true;
-    rec.dv = var->dv;
-    AppendSessionRecord(s, rec);
-    s->dv.Merge(var->dv);
-    *out = var->value;
-    return Status::OK();
-  }
+const Bytes& Msp::LogSharedRead(Session* s, SharedVariable* var) {
   LogRecord rec;
   rec.type = LogRecordType::kSharedRead;
-  rec.var_id = name;
+  rec.var_id = var->name;
   rec.payload = var->value;
   rec.has_dv = true;
   rec.dv = var->dv;
-  AppendSessionRecord(s, rec);
+  AppendSessionRecord(s, std::move(rec));
   s->dv.Merge(var->dv);
-  *out = var->value;
-  return Status::OK();
+  return var->value;
 }
 
-Status Msp::SharedWriteImpl(Session* s, const std::string& name,
-                            ByteView value) {
-  auto var = GetOrCreateSharedVar(name);
-  if (config_.mode != RecoveryMode::kLogBased) {
-    audit::SharedUniqueLock lk(var->rw);
-    var->value = Bytes(value);
-    return Status::OK();
-  }
-  if (SessionIsOrphan(s)) return Status::Orphan("session " + s->id);
-
-  audit::SharedUniqueLock lk(var->rw);
+Status Msp::LogSharedWrite(Session* s, SharedVariable* var, ByteView value) {
   // Fig. 8, write: the writer need not check whether the existing value is
   // an orphan — it is being replaced. The write record carries the writer
   // session's DV, the new value, and the LSN of the previous write record
@@ -763,7 +758,7 @@ Status Msp::SharedWriteImpl(Session* s, const std::string& name,
   LogRecord rec;
   rec.type = LogRecordType::kSharedWrite;
   rec.session_id = s->id;
-  rec.var_id = name;
+  rec.var_id = var->name;
   rec.payload = Bytes(value);
   rec.has_dv = true;
   rec.dv = s->dv;
@@ -789,17 +784,59 @@ Status Msp::SharedWriteImpl(Session* s, const std::string& name,
 
   if (config_.shared_var_checkpoint_threshold_writes > 0 &&
       var->writes_since_cp >= config_.shared_var_checkpoint_threshold_writes) {
-    Status st = TakeSharedVarCheckpoint(var.get());
+    Status st = TakeSharedVarCheckpoint(var);
     if (st.IsOrphan()) {
       // The variable's value turned out to be an orphan during the
       // checkpoint flush: roll it back instead of checkpointing (§4.2).
       env_->stats().orphans_detected.fetch_add(1);
-      MSPLOG_RETURN_IF_ERROR(UndoSharedVariable(var.get()));
+      MSPLOG_RETURN_IF_ERROR(UndoSharedVariable(var));
     } else if (!st.ok() && !st.IsCrashed()) {
       return st;
     }
   }
   return Status::OK();
+}
+
+Status Msp::SharedReadImpl(Session* s, const std::string& name, Bytes* out) {
+  auto var = GetOrCreateSharedVar(name);
+  if (config_.mode != RecoveryMode::kLogBased) {
+    audit::SharedLock lk(var->rw);
+    *out = var->value;
+    return Status::OK();
+  }
+  // Interception point: the reader session's own orphan status.
+  if (SessionIsOrphan(s)) return Status::Orphan("session " + s->id);
+
+  // Fig. 8, read: check whether the variable's value is an orphan; if so,
+  // the reader itself rolls it back along the backward chain (§4.2).
+  audit::SharedLock rlk(var->rw);
+  if (DvIsOrphan(var->dv)) {
+    rlk.unlock();
+    audit::SharedUniqueLock wlk(var->rw);
+    if (DvIsOrphan(var->dv)) {
+      env_->stats().orphans_detected.fetch_add(1);
+      MSPLOG_RETURN_IF_ERROR(UndoSharedVariable(var.get()));
+    }
+    // Value logging under the exclusive lock — correct, just conservative.
+    *out = LogSharedRead(s, var.get());
+    return Status::OK();
+  }
+  *out = LogSharedRead(s, var.get());
+  return Status::OK();
+}
+
+Status Msp::SharedWriteImpl(Session* s, const std::string& name,
+                            ByteView value) {
+  auto var = GetOrCreateSharedVar(name);
+  if (config_.mode != RecoveryMode::kLogBased) {
+    audit::SharedUniqueLock lk(var->rw);
+    var->value = Bytes(value);
+    return Status::OK();
+  }
+  if (SessionIsOrphan(s)) return Status::Orphan("session " + s->id);
+
+  audit::SharedUniqueLock lk(var->rw);
+  return LogSharedWrite(s, var.get(), value);
 }
 
 Status Msp::SharedUpdateImpl(Session* s, const std::string& name,
@@ -823,48 +860,9 @@ Status Msp::SharedUpdateImpl(Session* s, const std::string& name,
     env_->stats().orphans_detected.fetch_add(1);
     MSPLOG_RETURN_IF_ERROR(UndoSharedVariable(var.get()));
   }
-  LogRecord read;
-  read.type = LogRecordType::kSharedRead;
-  read.var_id = name;
-  read.payload = var->value;
-  read.has_dv = true;
-  read.dv = var->dv;
-  AppendSessionRecord(s, read);
-  s->dv.Merge(var->dv);
-
-  Bytes newval = fn(var->value);
-
-  LogRecord write;
-  write.type = LogRecordType::kSharedWrite;
-  write.session_id = s->id;
-  write.var_id = name;
-  write.payload = newval;
-  write.has_dv = true;
-  write.dv = s->dv;
-  write.prev_lsn = var->last_write_lsn;
-  size_t framed = 0;
-  uint64_t lsn = log_->Append(write, &framed);
-  s->last_shared_write_lsn = lsn;
-  s->bytes_logged_since_cp += framed;
-  s->stats.OnLogAppend(framed);
-
-  var->dv.ReplaceWith(s->dv);
-  var->state_number = lsn;
-  var->last_write_lsn = lsn;
-  var->value = newval;
-  var->writes_since_cp++;
+  Bytes newval = fn(LogSharedRead(s, var.get()));
+  MSPLOG_RETURN_IF_ERROR(LogSharedWrite(s, var.get(), newval));
   if (out) *out = std::move(newval);
-
-  if (config_.shared_var_checkpoint_threshold_writes > 0 &&
-      var->writes_since_cp >= config_.shared_var_checkpoint_threshold_writes) {
-    Status st = TakeSharedVarCheckpoint(var.get());
-    if (st.IsOrphan()) {
-      env_->stats().orphans_detected.fetch_add(1);
-      MSPLOG_RETURN_IF_ERROR(UndoSharedVariable(var.get()));
-    } else if (!st.ok() && !st.IsCrashed()) {
-      return st;
-    }
-  }
   return Status::OK();
 }
 
@@ -912,7 +910,7 @@ Status Msp::UndoSharedVariable(SharedVariable* var) {
 Status Msp::CallRoundTrip(const std::string& dest, const Message& req,
                           bool check_orphan_reply, Message* out,
                           uint32_t max_sends, const Bytes* dv_wire) {
-  if (max_sends == 0) max_sends = config_.max_call_sends;
+  if (max_sends == 0) max_sends = kMaxSendRounds;
   // Encoded once, resent verbatim on loss. `dv_wire`, when set, splices the
   // caller's pre-encoded DV (zero-copy piggybacking).
   Bytes wire;
@@ -1020,28 +1018,8 @@ Status Msp::OutgoingCallImpl(Session* s, const std::string& target,
   ++s->calls_in_request;
   const Bytes* dv_wire = nullptr;
   if (log_based) {
-    if (intra) {
-      // Per-session mode splices the session's cached wire DV rather than
-      // copying the map into the request (the cache stays valid for the
-      // whole round trip: only this worker thread mutates s->dv).
-      req.has_dv = true;
-      if (config_.per_session_dv) {
-        dv_wire = &s->CachedDvWire();
-        env_->stats().dv_entries_attached.fetch_add(s->dv.entry_count());
-      } else {
-        req.dv = MspWideDv(s);
-        env_->stats().dv_entries_attached.fetch_add(req.dv.entry_count());
-      }
-      s->stats.OnPiggybackedSend();
-    } else {
-      // Pessimistic leg: flush our dependencies before the message leaves
-      // the service domain (Fig. 7, "before send, across service domains").
-      const DependencyVector flush_dv = PessimisticFlushDv(s);
-      MSPLOG_RETURN_IF_ERROR(DistributedFlush(flush_dv, parent_span, s));
-      audit::CheckWalBeforeSend("call to " + target, config_.id,
-                                epoch_.load(), flush_dv,
-                                log_->durable_lsn());
-    }
+    MSPLOG_RETURN_IF_ERROR(ApplySendRule(s, intra, "call to ", target,
+                                         parent_span, &req, &dv_wire));
   }
 
   Message rep;
@@ -1062,7 +1040,7 @@ Status Msp::OutgoingCallImpl(Session* s, const std::string& target,
       rec.has_dv = true;
       rec.dv = rep.dv;
     }
-    AppendSessionRecord(s, rec);
+    AppendSessionRecord(s, std::move(rec));
     if (rep.has_dv) s->dv.Merge(rep.dv);
     PublishDv(s);
   }
@@ -1081,7 +1059,6 @@ Status Msp::OutgoingCallImpl(Session* s, const std::string& target,
 Status Msp::DistributedFlush(const DependencyVector& dv,
                              const obs::SpanContext& span,
                              Session* stats_session) {
-  if (config_.mode != RecoveryMode::kLogBased) return Status::OK();
   // The flush is its own child span under the stalled request span, so the
   // trace shows the log-flush stall as a distinct stage.
   obs::SpanContext fspan;
@@ -1172,7 +1149,7 @@ Status Msp::DistributedFlushImpl(const DependencyVector& dv,
   // slow first peer no longer delays settled later legs' bookkeeping. Wake
   // when every leg settled or any settled leg failed; after a timeout round
   // with no settlement, the aggregator resends each stalled flight at most
-  // once per round and eventually times the flight out (max_rounds). The
+  // once per round and eventually times the flight out (kMaxSendRounds). The
   // peer may be mid-crash; once it recovers it either confirms durability
   // or reports the recovered state number that proves we are an orphan.
   while (!waiters.empty()) {
@@ -1407,115 +1384,6 @@ bool Msp::SessionIsOrphan(const Session* s) const {
 }
 
 // ---------------------------------------------------------------------------
-// Baseline request processing (§5 comparison configurations)
-// ---------------------------------------------------------------------------
-
-Status Msp::ProcessRequestBaseline(Session* s, const Message& m,
-                                   const obs::SpanContext& span) {
-  const bool stateful = config_.mode == RecoveryMode::kPsession ||
-                        config_.mode == RecoveryMode::kStateServer;
-  if (m.method == "__end_session") {
-    {
-      audit::LockGuard lk(sessions_mu_);
-      s->ended = true;
-    }
-    return SendReply(s, ReplyCode::kOk, "", m.seqno, span);
-  }
-  bool state_found = false;
-  if (stateful) {
-    MSPLOG_RETURN_IF_ERROR(FetchBaselineState(s, &state_found));
-  }
-  if (m.seqno < s->next_expected_seqno) {
-    if (s->buffered_reply.valid && s->buffered_reply.seqno == m.seqno) {
-      return SendReply(s, s->buffered_reply.code, s->buffered_reply.payload,
-                       m.seqno, span);
-    }
-    return Status::OK();
-  }
-  if (m.seqno > s->next_expected_seqno) {
-    if (config_.mode == RecoveryMode::kNoLog || !state_found) {
-      // The duplicate-detection state was lost (NoLog crash, or the state
-      // server died): accept the client's sequence as the new truth. This
-      // is exactly the exactly-once guarantee these baselines lack.
-      s->next_expected_seqno = m.seqno;
-    } else {
-      return Status::OK();
-    }
-  }
-
-  ExecContext ctx(this, s, ExecContext::Mode::kNormal, m.seqno, nullptr, span);
-  Bytes result;
-  s->calls_in_request = 0;
-  Status st = InvokeMethod(m.method, &ctx, m.payload, &result);
-  s->stats.OnRequest();
-  s->stats.OnRequestFanout(s->calls_in_request);
-  s->calls_in_request = 0;
-  if (st.IsCrashed() || st.IsTimedOut()) return st;
-  ReplyCode code = st.ok() ? ReplyCode::kOk : ReplyCode::kAppError;
-  Bytes payload = st.ok() ? std::move(result) : Bytes(st.ToString());
-
-  s->buffered_reply = {true, m.seqno, code, payload};
-  s->next_expected_seqno = m.seqno + 1;
-  if (stateful) {
-    MSPLOG_RETURN_IF_ERROR(StoreBaselineState(s));
-  }
-  MSPLOG_RETURN_IF_ERROR(SendReply(s, code, payload, m.seqno, span));
-  if (after_request_hook_) after_request_hook_(this, s->id, m.seqno);
-  return Status::OK();
-}
-
-Status Msp::FetchBaselineState(Session* s, bool* found) {
-  *found = false;
-  if (config_.mode == RecoveryMode::kPsession) {
-    Bytes blob;
-    Status st = psession_db_->TxnGet("session/" + s->id, &blob);
-    if (st.IsNotFound()) return Status::OK();
-    MSPLOG_RETURN_IF_ERROR(st);
-    MSPLOG_RETURN_IF_ERROR(s->DecodeCheckpoint(blob));
-    *found = true;
-    return Status::OK();
-  }
-  // StateServer: one round trip to fetch the whole session state.
-  Message req;
-  req.type = MessageType::kRequest;
-  req.sender = config_.id;
-  req.session_id = config_.id + "/" + s->id + "@ss";
-  req.seqno = s->volatile_rpc_seqno++;
-  req.method = "__ss_get";
-  req.payload = s->id;
-  Message rep;
-  MSPLOG_RETURN_IF_ERROR(CallRoundTrip(config_.state_server, req,
-                                       /*check_orphan_reply=*/false, &rep));
-  if (rep.payload.empty()) return Status::Corruption("bad state reply");
-  if (rep.payload[0] == 1) {
-    MSPLOG_RETURN_IF_ERROR(
-        s->DecodeCheckpoint(ByteView(rep.payload).substr(1)));
-    *found = true;
-  }
-  return Status::OK();
-}
-
-Status Msp::StoreBaselineState(Session* s) {
-  Bytes blob = s->EncodeCheckpoint();
-  if (config_.mode == RecoveryMode::kPsession) {
-    return psession_db_->TxnPut("session/" + s->id, blob);
-  }
-  Message req;
-  req.type = MessageType::kRequest;
-  req.sender = config_.id;
-  req.session_id = config_.id + "/" + s->id + "@ss";
-  req.seqno = s->volatile_rpc_seqno++;
-  req.method = "__ss_put";
-  BinaryWriter w;
-  w.PutBytes(s->id);
-  w.PutBytes(blob);
-  req.payload = w.Take();
-  Message rep;
-  return CallRoundTrip(config_.state_server, req,
-                       /*check_orphan_reply=*/false, &rep);
-}
-
-// ---------------------------------------------------------------------------
 // Introspection
 // ---------------------------------------------------------------------------
 
@@ -1737,7 +1605,7 @@ std::string Msp::DumpStatusz() const {
                 ? env_->NowModelMs() - up
                 : 0.0);
   }
-  out.Add("requests", ctr_requests_->Value());
+  out.Add("requests", ctr_own_requests_->Value());
 
   // Distributed-flush group commit (shared registry: sums over every MSP in
   // this environment; in-flight/pending legs are this MSP's own).

@@ -21,8 +21,10 @@
 // unregisters the network endpoint. Start() afterwards re-runs crash
 // recovery from the durable log, exactly as a restarted OS process would.
 //
-// The other RecoveryModes implement the paper's §5 baselines (NoLog,
-// Psession, StateServer) over the same runtime.
+// The other RecoveryModes run the paper's §5 baselines (NoLog, Psession,
+// StateServer) through the same request path, which skips every log-based
+// step for them; Psession and StateServer keep each session's state in a
+// SessionStore (baseline/session_store.h) between requests.
 #pragma once
 
 #include <atomic>
@@ -38,7 +40,6 @@
 #include "audit/mutex.h"
 #include "common/bytes.h"
 #include "common/status.h"
-#include "db/kvdb.h"
 #include "log/log_anchor.h"
 #include "log/log_file.h"
 #include "msp/flush_aggregator.h"
@@ -62,6 +63,7 @@ namespace msplog {
 class ExecContext;
 class ReplayCursor;
 class RecoveryCoordinator;
+class SessionStore;
 struct ScanImage;
 
 /// Typed designator for Msp::ForceCheckpoint — the one entry point behind
@@ -222,19 +224,35 @@ class Msp {
                       uint32_t rec_epoch, uint64_t rec_sn);
 
   // ---- request processing ----
-  void ProcessRequest(const std::shared_ptr<Session>& s, const Message& m,
-                      const obs::SpanContext& span);
-  Status ProcessRequestLogBased(Session* s, const Message& m,
-                                const obs::SpanContext& span);
-  Status ProcessRequestBaseline(Session* s, const Message& m,
-                                const obs::SpanContext& span);
+  /// Every RecoveryMode's request path; the baselines skip its log-based
+  /// steps and keep their session state in store_.
+  Status ProcessRequest(Session* s, const Message& m,
+                        const obs::SpanContext& span);
   Status InvokeMethod(const std::string& method, ExecContext* ctx,
                       const Bytes& arg, Bytes* result);
   Status SendReply(Session* s, ReplyCode code, const Bytes& payload,
                    uint64_t seqno, const obs::SpanContext& span = {});
+  /// Fig. 7's send rule for an output of `s` (log-based mode): inside the
+  /// domain (`intra`) attach the session's DV to `m`, or point `*dv_wire` at
+  /// its cached encoding; across it, flush PessimisticFlushDv(s) first.
+  /// `what` + `dest` name the output in the WAL-before-send audit.
+  Status ApplySendRule(Session* s, bool intra, const char* what,
+                       const std::string& dest, const obs::SpanContext& span,
+                       Message* m, const Bytes** dv_wire);
 
   // ---- normal-execution primitives (called via ExecContext) ----
   uint64_t AppendSessionRecord(Session* s, LogRecord rec);
+  /// Fig. 8, read: value-log `var`'s value as a session record and merge
+  /// the variable's DV into the session's. Returns the value read. Caller
+  /// holds `var->rw` (shared or unique).
+  const Bytes& LogSharedRead(Session* s, SharedVariable* var);
+  /// Fig. 8, write: log the write record (writer's DV, backward chain),
+  /// install `value` in `var`, and checkpoint the variable at its write
+  /// threshold. Caller holds `var->rw` unique.
+  Status LogSharedWrite(Session* s, SharedVariable* var, ByteView value);
+  /// Replay consumed `rec`: the session's state number, own DV entry and
+  /// DV move as they did when `rec` was logged.
+  void AdoptReplayedRecord(Session* s, const LogRecord& rec);
   Status SharedReadImpl(Session* s, const std::string& name, Bytes* out);
   Status SharedWriteImpl(Session* s, const std::string& name, ByteView value);
   Status SharedUpdateImpl(Session* s, const std::string& name,
@@ -248,7 +266,7 @@ class Msp {
   /// Send `req` to `dest` and await the matching reply, resending on loss
   /// and backing off on Busy. If `check_orphan_reply` is set, replies whose
   /// attached DV is an orphan are discarded (Fig. 7) and the wait continues.
-  /// `max_sends` of 0 uses the configured retry budget. `dv_wire`, when
+  /// `max_sends` of 0 means kMaxSendRounds. `dv_wire`, when
   /// set, is the pre-encoded DV spliced into the wire image in place of
   /// `req.dv` (zero-copy piggybacking; `req.has_dv` must be true).
   Status CallRoundTrip(const std::string& dest, const Message& req,
@@ -323,10 +341,6 @@ class Msp {
   /// replay owns it). `on_demand` marks admissions triggered by a live
   /// request (vs the background drain) in the recovery timeline.
   void SessionRecoveryTask(std::shared_ptr<Session> s, bool on_demand = false);
-
-  // ---- baseline substrate ----
-  Status FetchBaselineState(Session* s, bool* found);
-  Status StoreBaselineState(Session* s);
 
   // ---- helpers ----
   /// Charge model CPU time; serialized on the MSP's core when
@@ -462,11 +476,13 @@ class Msp {
   obs::Histogram* hist_flush_wait_ms_;  ///< "msp.flush_wait_ms" (dist flush)
   obs::Histogram* hist_request_ms_;     ///< "msp.request_ms" (dequeue→done)
   obs::Histogram* hist_replay_ms_;      ///< "msp.replay_ms" per session replay
-  obs::Counter* ctr_requests_;          ///< "msp.requests"
+  obs::Counter* ctr_requests_;          ///< "msp.requests" (every MSP)
+  obs::Counter* ctr_own_requests_;      ///< "<id>.requests"
   obs::Gauge* gauge_crash_generation_;  ///< "<id>.crash_generation"
 
-  /// Created in Start() before workers exist; KvDb is internally locked.
-  std::unique_ptr<KvDb> psession_db_;  // audit:allow(guarded-by)
+  /// Psession's or StateServer's session-state store (null in the other
+  /// modes). Created in Start() before workers exist; internally locked.
+  std::unique_ptr<SessionStore> store_;  // audit:allow(guarded-by)
 };
 
 }  // namespace msplog

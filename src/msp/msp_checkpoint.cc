@@ -13,7 +13,6 @@
 namespace msplog {
 
 Status Msp::TakeSessionCheckpoint(Session* s, const obs::SpanContext& span) {
-  if (config_.mode != RecoveryMode::kLogBased) return Status::Unsupported("");
   // When a traced request triggers the checkpoint, the pause shows up in
   // its span tree as a child span.
   obs::SpanContext cspan;
@@ -77,9 +76,7 @@ Status Msp::TakeSharedVarCheckpoint(SharedVariable* var) {
 }
 
 Status Msp::TakeMspCheckpoint(bool force_units) {
-  if (config_.mode != RecoveryMode::kLogBased || !log_) {
-    return Status::Unsupported("");
-  }
+  if (!log_) return Status::Unsupported("");
   audit::LockGuard cp_guard(msp_cp_mu_);
   env_->tracer().Record(obs::TraceEventType::kCheckpointBegin,
                         env_->NowModelMs(), config_.id, /*session=*/"",
@@ -183,6 +180,9 @@ Status Msp::TakeMspCheckpoint(bool force_units) {
 }
 
 Status Msp::ForceCheckpoint(const CheckpointTarget& target) {
+  // The one way a baseline could reach checkpoint code: it logs nothing, so
+  // it has nothing to checkpoint.
+  if (config_.mode != RecoveryMode::kLogBased) return Status::Unsupported("");
   switch (target.kind) {
     case CheckpointTarget::Kind::kMsp:
       return TakeMspCheckpoint(/*force_units=*/true);

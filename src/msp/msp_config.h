@@ -25,6 +25,10 @@ enum class RecoveryMode {
 
 const char* RecoveryModeName(RecoveryMode m);
 
+/// Sends of one outgoing call (Msp::CallRoundTrip), and send rounds of one
+/// distributed-flush flight, before the MSP gives up on the peer.
+inline constexpr uint32_t kMaxSendRounds = 200;
+
 struct MspConfig {
   std::string id;
   RecoveryMode mode = RecoveryMode::kLogBased;
@@ -79,15 +83,10 @@ struct MspConfig {
   /// Timeout for one round of a distributed-flush request (model ms);
   /// retried until the peer answers or the session turns out orphan.
   double flush_timeout_ms = 300.0;
-  uint32_t max_call_sends = 200;
 
   // ---- baselines ----
   /// Endpoint name of the state server (mode kStateServer).
   std::string state_server;
-
-  /// Model CPU milliseconds charged for executing one service method body
-  /// in addition to whatever the method itself Compute()s.
-  double method_overhead_ms = 0.0;
 
   // ---- ablations (DESIGN.md §5) ----
   /// §3.2: per-session DVs let sessions recover independently. When false,

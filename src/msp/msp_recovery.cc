@@ -255,9 +255,7 @@ Status Msp::ReplayOnce(Session* s, const ScanImage* image,
           std::to_string(rec.lsn)));
     }
     cursor.Skip();
-    s->state_number = rec.lsn;
-    s->dv.Set(config_.id, StateId{epoch_.load(), rec.lsn});
-    if (rec.has_dv) s->dv.Merge(rec.dv);
+    AdoptReplayedRecord(s, rec);
     s->next_expected_seqno = rec.seqno;
     if (prov) prov->records.push_back({epoch_.load(), rec.seqno, rec.lsn});
 
@@ -284,6 +282,12 @@ Status Msp::ReplayOnce(Session* s, const ScanImage* image,
     }
   }
   return done(Status::OK());
+}
+
+void Msp::AdoptReplayedRecord(Session* s, const LogRecord& rec) {
+  s->state_number = rec.lsn;
+  s->dv.Set(config_.id, StateId{epoch_.load(), rec.lsn});
+  if (rec.has_dv) s->dv.Merge(rec.dv);
 }
 
 void Msp::OrphanCut(Session* s, uint64_t orphan_lsn) {

@@ -112,10 +112,6 @@ class Session {
   bool needs_checkpoint = false;
   bool ended = false;
 
-  /// Sequence numbers for baseline state-server RPCs. Deliberately volatile
-  /// and not part of the checkpointable state.
-  uint64_t volatile_rpc_seqno = 1;
-
   /// Orphan cuts (§4.1 EOS records) applied to this session since it was
   /// (re)created. Mutated only by the thread currently replaying the
   /// session; the outage join reads its own replay's delta to classify the

@@ -1,9 +1,10 @@
 // Edge-case tests: determinism-contract violations are detected, reordering
 // networks, scanner corner cases, concurrent kvdb use, recovery of empty /
-// padding-only logs.
+// padding-only logs, a reply whose flush times out.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <thread>
 
 #include "db/kvdb.h"
@@ -216,6 +217,80 @@ TEST(ColdStartTest, StartCrashStartWithNoTrafficIsClean) {
   EXPECT_EQ(msp.epoch(), 3u);
   EXPECT_EQ(msp.SessionCount(), 0u);
   msp.Shutdown();
+}
+
+// The request ran to completion before its reply's pessimistic flush timed
+// out, so the client's retry must be answered from the buffered reply, not
+// run the request a second time.
+TEST(FlushTimeoutTest, TimedOutReplyIsResentNotReExecuted) {
+  SimEnvironment env(0.0);
+  SimNetwork net(&env);
+  SimDisk disk_a(&env, "da"), disk_b(&env, "db");
+  DomainDirectory dir;
+  dir.Assign("alpha", "dom");
+  dir.Assign("beta", "dom");
+  MspConfig ca, cb;
+  ca.id = "alpha";
+  cb.id = "beta";
+  ca.checkpoint_daemon = cb.checkpoint_daemon = false;
+  std::atomic<int> executions{0};  // outlives the servers that count on it
+  Msp alpha(&env, &net, &disk_a, &dir, ca);
+  Msp beta(&env, &net, &disk_b, &dir, cb);
+  beta.RegisterMethod("echo", [](ServiceContext*, const Bytes& a, Bytes* r) {
+    *r = a;
+    return Status::OK();
+  });
+  alpha.RegisterSharedVariable("n", "0");
+  alpha.RegisterMethod("bump", [&](ServiceContext* ctx, const Bytes&,
+                                   Bytes* r) {
+    // The session's DV now names beta: the reply's flush has a leg there.
+    Bytes echoed;
+    MSPLOG_RETURN_IF_ERROR(ctx->Call("beta", "echo", "", &echoed));
+    // The first execution loses every flush request it sends to beta.
+    if (executions.fetch_add(1) == 0) {
+      net.SetFaults("alpha", "beta", FaultPlan{/*drop_prob=*/1.0});
+    }
+    return ctx->UpdateShared(
+        "n", [](const Bytes& v) { return std::to_string(std::stoi(v) + 1); },
+        r);
+  });
+  ASSERT_TRUE(beta.Start().ok());
+  ASSERT_TRUE(alpha.Start().ok());
+
+  ClientOptions copt;
+  copt.max_sends = 1000000;  // keep resending seqno 1 through the outage
+  ClientEndpoint client(&env, &net, "cli", copt);
+  auto session = client.StartSession("alpha");
+  Bytes reply;
+  Status call_st;
+  std::thread caller(
+      [&] { call_st = client.Call(&session, "bump", "", &reply); });
+
+  // Heal the link only after the first reply flush has given up.
+  auto flush_timed_out = [&] {
+    for (const obs::TraceEvent& e : env.tracer().Events()) {
+      if (e.type == obs::TraceEventType::kDistFlushEnd && e.actor == "alpha" &&
+          e.detail.find("TimedOut") != std::string::npos) {
+        return true;
+      }
+    }
+    return false;
+  };
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(120);
+  while (!flush_timed_out() && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  EXPECT_TRUE(flush_timed_out());
+  net.ClearFaults();
+  caller.join();
+
+  ASSERT_TRUE(call_st.ok()) << call_st.ToString();
+  EXPECT_EQ(reply, "1");
+  EXPECT_EQ(executions.load(), 1);
+  EXPECT_EQ(*alpha.PeekSharedValue("n"), "1");
+  alpha.Shutdown();
+  beta.Shutdown();
 }
 
 }  // namespace

@@ -609,6 +609,48 @@ TEST_F(StatsTest, DumpStatuszCarriesLiveStateAndSurvivesCrashCycle) {
             std::string::npos);
 }
 
+// Each statusz counts only the requests its own server served: alpha serves
+// one request (and calls beta once), beta three more from the client. A
+// server's truth is its own dequeue events, which count client resends
+// exactly as the request counter does.
+TEST_F(StatsTest, StatuszCountsOnlyItsOwnServersRequests) {
+  Build(/*same_domain=*/true);
+  ClientEndpoint client(&env_, &net_, "cli");
+  auto to_alpha = client.StartSession("alpha");
+  auto to_beta = client.StartSession("beta");
+  Bytes reply;
+  ASSERT_TRUE(client.Call(&to_alpha, "workload", "a", &reply).ok());
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_TRUE(client.Call(&to_beta, "echo", "b", &reply).ok());
+  }
+  // The server's count is the first "requests" key; the per-session
+  // telemetry that follows it carries its own.
+  auto requests = [](const Msp& msp) -> uint64_t {
+    const std::string s = msp.DumpStatusz();
+    const size_t at = s.find("\"requests\":");
+    return at == std::string::npos ? 0 : std::stoull(s.substr(at + 11));
+  };
+  auto dequeued = [&](const std::string& id) {
+    uint64_t n = 0;
+    for (const obs::TraceEvent& e : env_.tracer().Events()) {
+      if (e.type == obs::TraceEventType::kDequeue && e.actor == id) ++n;
+    }
+    return n;
+  };
+  // A worker counts its request after the reply has left: let both settle.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while ((requests(*alpha_) != dequeued("alpha") ||
+          requests(*beta_) != dequeued("beta")) &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_GE(dequeued("alpha"), 1u);
+  EXPECT_GE(dequeued("beta"), 4u);
+  EXPECT_EQ(requests(*alpha_), dequeued("alpha"));
+  EXPECT_EQ(requests(*beta_), dequeued("beta"));
+}
+
 // ---------------------------------------------------------------------------
 // Per-session telemetry: the MSP hot paths feed SessionStats exactly.
 
