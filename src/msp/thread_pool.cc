@@ -31,7 +31,7 @@ bool ThreadPool::Submit(Task task) {
   std::atomic_thread_fence(std::memory_order_seq_cst);
   if (sleepers_.load(std::memory_order_relaxed) > 0) {
     audit::LockGuard lk(mu_);
-    cv_.notify_all();
+    cv_.notify_one();
   }
   return true;
 }
@@ -68,34 +68,33 @@ void ThreadPool::Abort() {
 void ThreadPool::WorkerLoop() {
   Task task;
   while (true) {
-    if (queue_.TryPop(&task)) {
-      if (discard_.load(std::memory_order_relaxed)) {
-        task = Task();
-        continue;
+    if (!queue_.TryPop(&task)) {
+      // Queue looked empty: enter the eventcount sleep protocol. The
+      // seq_cst increment pairs with Submit's fence — after registering we
+      // re-poll, so either we see the producer's item or the producer sees
+      // our registration and notifies.
+      audit::UniqueLock lk(mu_);
+      // Stay registered in sleepers_ for the whole idle period — including
+      // across the timed wait — so a producer arriving at any point sees a
+      // nonzero count and posts the notify.
+      sleepers_.fetch_add(1, std::memory_order_seq_cst);
+      for (;;) {
+        if (queue_.TryPop(&task)) break;
+        if (stop_.load(std::memory_order_acquire)) {
+          sleepers_.fetch_sub(1, std::memory_order_relaxed);
+          return;
+        }
+        cv_.wait_for(lk, kIdleRepoll);
       }
-      task();
-      task = Task();
-      continue;
+      sleepers_.fetch_sub(1, std::memory_order_relaxed);
     }
-    // Queue looked empty: enter the eventcount sleep protocol. The
-    // seq_cst increment pairs with Submit's fence — after registering we
-    // re-poll, so either we see the producer's item or the producer sees
-    // our registration and notifies.
-    audit::UniqueLock lk(mu_);
-    // Stay registered in sleepers_ for the whole idle period — including
-    // across the timed wait — so a producer arriving at any point sees a
-    // nonzero count and posts the notify.
-    sleepers_.fetch_add(1, std::memory_order_seq_cst);
-    for (;;) {
-      if (queue_.TryPop(&task)) break;
-      if (stop_.load(std::memory_order_acquire)) {
-        sleepers_.fetch_sub(1, std::memory_order_relaxed);
-        return;
-      }
-      cv_.wait_for(lk, kIdleRepoll);
+    // Successor wakeup: Submit woke one worker per task, but that wakeup
+    // may have been spent on a worker that found the head cell unpublished
+    // and parked again. Pass one on while more tasks are queued.
+    if (queue_.depth() > 0 && sleepers_.load(std::memory_order_relaxed) > 0) {
+      audit::LockGuard lk(mu_);
+      cv_.notify_one();
     }
-    sleepers_.fetch_sub(1, std::memory_order_relaxed);
-    lk.unlock();
     if (discard_.load(std::memory_order_relaxed)) {
       task = Task();
       continue;

@@ -6,10 +6,20 @@
 //
 // Hot-path shape: Submit pushes a move-only, small-buffer-optimized Task
 // onto a lock-free MPSC ring (common/mpsc_queue.h) — no mutex, no heap
-// allocation for the dispatcher's lambdas. Workers spin through TryPop and
-// only fall back to an eventcount-style sleep (sleepers_ counter + condvar)
-// when the queue is empty; producers pay a fence plus one relaxed load to
-// detect sleepers, and take the mutex only to wake them.
+// allocation for the dispatcher's lambdas. A worker calls TryPop once; when
+// the queue looks empty it registers in an eventcount (sleepers_ counter +
+// condvar), polls once more under the mutex and parks. Producers pay a
+// fence plus one relaxed load to detect sleepers, and take the mutex only
+// to wake one.
+//
+// Wake rule: one wakeup per task, plus a successor wakeup. Submit notifies
+// one parked worker, not all of them. A worker that takes a task while the
+// queue still counts more (depth() includes a cell claimed but not yet
+// published) notifies one more before running its task. That covers the
+// ring's one blind spot: TryPop reports empty while the head cell is
+// claimed but unpublished, so a later producer's wakeup can land on a
+// worker that parks again; the worker that later takes the head task passes
+// the wakeup on. Shutdown and Abort still wake every worker.
 //
 // Known (accepted) semantic difference from the old mutex design: Submit
 // and Shutdown are no longer atomic with respect to each other — a task

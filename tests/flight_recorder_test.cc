@@ -10,6 +10,7 @@
 // CLI over real artifacts.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <fstream>
 #include <thread>
@@ -308,20 +309,34 @@ TEST(OutageObservatoryTest, ChaosCrashFatesAndMttrMatchGroundTruth) {
 TEST(OutageObservatoryTest, CrashOnFirstRequestLeavesSessionNeverLogged) {
   PaperWorkloadOptions opts;
   opts.config = PaperConfig::kLoOptimistic;
-  // Real sleeps between network hops: the armed crash (spawned when the
-  // ServiceMethod2 reply reaches MSP1) must land before MSP1's client-reply
-  // distributed flush reaches MSP2 — at time scale 0 that is a thread race,
-  // with model latencies enforced the flush request cannot arrive earlier
-  // than msp_one_way_ms of real sleep after the crash thread was spawned.
   opts.time_scale = 0.25;
   opts.checkpoint_daemon = false;
   opts.client_max_sends = 5000;
+  std::atomic<bool> cut{false};  // outlives w, whose msp2 holds the hook
   PaperWorkload w(opts);
   ASSERT_TRUE(w.Start().ok());
 
   // Arm before ANY request: MSP2 dies while serving its first-ever request,
   // before MSP1's client-reply flush could make MSP2's records durable — so
-  // the crash erases the session from the log entirely.
+  // the crash erases the session from the log entirely. The armed crash
+  // runs on a harness thread spawned when MSP2's reply reaches MSP1, so
+  // order it before the flush explicitly: from MSP2's first reply on, drop
+  // everything MSP1 sends MSP2 until MSP2 has crashed and restarted. The
+  // flush leg's resend then reaches the new incarnation.
+  w.msp2()->SetAfterRequestHook(
+      [&w, &cut](Msp*, const std::string&, uint64_t) {
+        if (cut.exchange(true)) return;
+        FaultPlan drop_all;
+        drop_all.drop_prob = 1.0;
+        w.network()->SetFaults("msp1", "msp2", drop_all);
+      });
+  std::thread heal([&w] {
+    for (int i = 0; i < 20000; ++i) {
+      if (w.msp2()->crash_generation() > 0 && w.msp2()->running()) break;
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    w.network()->ClearFaults();
+  });
   w.ArmCrash();
   ClientOptions copts;
   copts.max_sends = 5000;
@@ -331,9 +346,10 @@ TEST(OutageObservatoryTest, CrashOnFirstRequestLeavesSessionNeverLogged) {
   w.network()->SetLinkLatency("client1", "msp1", 0.0);
   auto session = client.StartSession("msp1");
   Bytes reply;
-  ASSERT_TRUE(
-      client.Call(&session, "ServiceMethod1", MakePayload(100, 1), &reply)
-          .ok());
+  const Status call =
+      client.Call(&session, "ServiceMethod1", MakePayload(100, 1), &reply);
+  heal.join();
+  ASSERT_TRUE(call.ok());
   ASSERT_EQ(w.crashes_injected(), 1u);
   // The crash/restart cycle runs on a harness thread; the reply above can
   // only have been produced after MSP2's recovery joined the report, but

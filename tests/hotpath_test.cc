@@ -3,10 +3,14 @@
 // liveness), concurrent arena appends racing flushes / reclamation /
 // archiving, and FlushUpTo watermark wakeups under Crash/Stop/Abort.
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 
 #include <atomic>
 #include <algorithm>
+#include <chrono>
+#include <condition_variable>
 #include <map>
+#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -115,6 +119,99 @@ TEST(ThreadPoolHotPathTest, AbortIsLiveAgainstConcurrentSubmitters) {
   stop_submitting.store(true, std::memory_order_release);
   submitter.join();
   EXPECT_FALSE(pool.Submit([] {}));
+}
+
+// Wake rule: a task submitted to an idle pool wakes one parked worker, not
+// every one. Waiting for each task in turn then costs about two voluntary
+// context switches per task (the submitter waits, the worker parks again);
+// a broadcast to the eight parked workers cost about 9 on a 4-core host.
+TEST(ThreadPoolHotPathTest, IdlePoolWakesOneWorkerPerTask) {
+  constexpr int kTasks = 500;
+  std::mutex mu;
+  std::condition_variable cv;
+  int done = 0;
+  ThreadPool pool(8);  // declared last: joins its workers before mu/cv die
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));  // all park
+  rusage before{};
+  ASSERT_EQ(getrusage(RUSAGE_SELF, &before), 0);
+  for (int i = 1; i <= kTasks; ++i) {
+    ASSERT_TRUE(pool.Submit([&] {
+      {
+        std::lock_guard<std::mutex> lk(mu);
+        ++done;
+      }
+      cv.notify_one();
+    }));
+    std::unique_lock<std::mutex> lk(mu);
+    cv.wait(lk, [&] { return done == i; });
+  }
+  rusage after{};
+  ASSERT_EQ(getrusage(RUSAGE_SELF, &after), 0);
+  const double per_task =
+      static_cast<double>(after.ru_nvcsw - before.ru_nvcsw) / kTasks;
+  EXPECT_LT(per_task, 4.0) << "voluntary context switches per task";
+}
+
+// Concurrent producers each get a parked worker without waiting out the
+// pool's 50 ms idle re-poll. Each round, N producers submit one task each
+// at once to N parked workers, and every task blocks until all N run, so a
+// task left queued for want of a wakeup stalls its round. The hazard is the
+// ring's claimed-but-unpublished head cell: a producer's wakeup can land on
+// a worker that sees the queue empty and parks again.
+TEST(ThreadPoolHotPathTest, ConcurrentProducersEachWakeAParkedWorker) {
+  constexpr int kProducers = 4;
+  constexpr int kRounds = 6000;
+  constexpr double kStallMs = 40.0;  // a stall reads ~50 ms
+  std::mutex mu;
+  std::condition_variable cv;
+  int running = 0;   // tasks of this round that have started
+  int finished = 0;  // tasks of this round that saw all N running
+  std::atomic<int> round{0};
+  ThreadPool pool(kProducers);
+  auto task = [&] {
+    std::unique_lock<std::mutex> lk(mu);
+    ++running;
+    cv.notify_all();
+    cv.wait_for(lk, std::chrono::seconds(10),
+                [&] { return running == kProducers; });
+    ++finished;
+    cv.notify_all();
+  };
+  std::vector<std::thread> producers;
+  for (int p = 0; p < kProducers; ++p) {
+    producers.emplace_back([&] {
+      for (int r = 1; r <= kRounds; ++r) {
+        for (int seen = round.load(); seen < r; seen = round.load()) {
+          round.wait(seen);
+        }
+        pool.Submit(task);
+      }
+    });
+  }
+  double slowest_ms = 0.0;
+  int stalls = 0;
+  for (int r = 1; r <= kRounds; ++r) {
+    {
+      std::lock_guard<std::mutex> lk(mu);
+      running = 0;
+      finished = 0;
+    }
+    const auto start = std::chrono::steady_clock::now();
+    round.store(r);
+    round.notify_all();
+    std::unique_lock<std::mutex> lk(mu);
+    cv.wait(lk, [&] { return finished == kProducers; });
+    const double ms = std::chrono::duration<double, std::milli>(
+                          std::chrono::steady_clock::now() - start)
+                          .count();
+    slowest_ms = std::max(slowest_ms, ms);
+    if (ms >= kStallMs) ++stalls;
+  }
+  for (auto& t : producers) t.join();
+  // Sanitizers slow every handoff; there the rounds only have to finish.
+  if (!SimEnvironment::kSanitized) {
+    EXPECT_EQ(stalls, 0) << "slowest round " << slowest_ms << " ms";
+  }
 }
 
 // ---------------------------------------------------------------------------
