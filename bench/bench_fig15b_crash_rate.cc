@@ -35,7 +35,7 @@ double MeasureThroughput(PaperConfig config, int crash_every,
   // crash/recovery cycle) is the observatory's view of the damage. Captured
   // before Shutdown: shutdown is a clean stop, not a crash, and must not
   // perturb the report.
-  *outage = w.msp2()->LastOutageReport();
+  *outage = w.msp2()->LastRecoveryTimeline().Outage();
   w.Shutdown();
   return r.throughput_rps;
 }

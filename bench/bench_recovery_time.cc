@@ -70,7 +70,7 @@ Point Measure(uint64_t threshold, int requests, double time_scale) {
   p.total_ms = w.env()->NowModelMs() - t0;
   p.timeline = w.msp1()->LastRecoveryTimeline();
   p.scan_ms = p.timeline.analysis_scan_ms;
-  p.outage = w.msp1()->LastOutageReport();
+  p.outage = p.timeline.Outage();
   p.replayed =
       w.env()->stats().requests_replayed.load() - replayed_before;
   p.reclaimed = w.env()->stats().disk_bytes_reclaimed.load();
@@ -197,13 +197,14 @@ InstantPoint MeasureInstant(int sessions, int hot, int requests_per_session,
   p.timeline = w.msp1()->LastRecoveryTimeline();
   p.open_ms = p.timeline.open_for_traffic_ms;
   p.on_demand = p.timeline.on_demand_replays;
-  p.outage = w.msp1()->LastOutageReport();
+  p.outage = p.timeline.Outage();
   p.all_p50_ms = p.outage.mttr.p50_ms;
   std::vector<double> hot_tts;
-  for (int h = 0; h < hot; ++h) {
-    if (const obs::OutageReport::SessionFate* f =
-            p.outage.Find(hot_ids[h].session_id)) {
-      hot_tts.push_back(f->time_to_servable_ms);
+  for (const obs::OutageReport::SessionFate& f : p.outage.sessions) {
+    for (const ClientSession& h : hot_ids) {
+      if (f.session_id == h.session_id) {
+        hot_tts.push_back(f.time_to_servable_ms);
+      }
     }
   }
   if (!hot_tts.empty()) {

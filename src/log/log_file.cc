@@ -11,7 +11,6 @@
 namespace msplog {
 
 namespace {
-constexpr size_t kFrameHeaderBytes = 8;  // u32 len + u32 masked crc
 /// Fresh arenas start small and grow geometrically (quiescent grows only);
 /// the working set of a light log stays a few pages.
 constexpr size_t kInitialArenaBytes = 64 * 1024;
@@ -42,6 +41,10 @@ uint32_t GetU32At(ByteView buf, size_t pos) {
 }
 }  // namespace
 
+uint32_t FrameBodyLength(ByteView data, size_t pos) {
+  return GetU32At(data, pos);
+}
+
 Bytes FrameRecord(ByteView body) {
   Bytes frame(kFrameHeaderBytes, '\0');
   PutU32At(&frame, 0, static_cast<uint32_t>(body.size()));
@@ -55,7 +58,7 @@ Status ParseFrame(ByteView data, size_t pos, ByteView* body_out,
   if (pos + kFrameHeaderBytes > data.size()) {
     return Status::Corruption("truncated frame header");
   }
-  uint32_t len = GetU32At(data, pos);
+  uint32_t len = FrameBodyLength(data, pos);
   if (len == 0) return Status::NotFound("padding");
   if (pos + kFrameHeaderBytes + len > data.size()) {
     return Status::Corruption("truncated frame body");
@@ -67,6 +70,17 @@ Status ParseFrame(ByteView data, size_t pos, ByteView* body_out,
   }
   *body_out = body;
   *frame_len = kFrameHeaderBytes + len;
+  return Status::OK();
+}
+
+Status DecodeFrameAt(ByteView data, size_t pos, uint64_t lsn, LogRecord* out) {
+  ByteView body;
+  size_t frame_len = 0;
+  Status st = ParseFrame(data, pos, &body, &frame_len);
+  if (st.IsNotFound()) return Status::Corruption("position points at padding");
+  MSPLOG_RETURN_IF_ERROR(st);
+  MSPLOG_RETURN_IF_ERROR(LogRecord::Decode(body, out));
+  out->lsn = lsn;
   return Status::OK();
 }
 
@@ -533,38 +547,25 @@ Status LogFile::ReadRecordAt(uint64_t lsn, LogRecord* out) {
       const LogArena* a = FindArenaLocked(lsn);
       if (a != nullptr) {
         const size_t limit = a->sealed ? a->padded_bytes : a->reserved;
-        ByteView view(a->data.data(), limit);
-        ByteView body;
-        size_t frame_len = 0;
-        Status st = ParseFrame(view, lsn - a->base, &body, &frame_len);
-        if (st.IsNotFound()) return Status::Corruption("LSN points at padding");
-        MSPLOG_RETURN_IF_ERROR(st);
-        Status ds = LogRecord::Decode(body, out);
-        out->lsn = lsn;
-        return ds;
+        return DecodeFrameAt(ByteView(a->data.data(), limit), lsn - a->base,
+                             lsn, out);
       }
     }
   }
-  // Durable region: read header then body from disk.
-  Bytes header;
+  // Durable region: read the header, then the body it announces (none for
+  // padding), and judge the two as one frame.
+  Bytes frame;
   MSPLOG_RETURN_IF_ERROR(
-      disk_->ReadAt(file_name_, lsn, kFrameHeaderBytes, &header));
-  if (header.size() < kFrameHeaderBytes) {
-    return Status::Corruption("truncated frame header on disk");
+      disk_->ReadAt(file_name_, lsn, kFrameHeaderBytes, &frame));
+  if (frame.size() == kFrameHeaderBytes) {
+    if (const uint32_t len = FrameBodyLength(frame, 0); len > 0) {
+      Bytes body;
+      MSPLOG_RETURN_IF_ERROR(
+          disk_->ReadAt(file_name_, lsn + kFrameHeaderBytes, len, &body));
+      frame.append(body);
+    }
   }
-  uint32_t len = GetU32At(header, 0);
-  if (len == 0) return Status::Corruption("LSN points at padding");
-  Bytes body;
-  MSPLOG_RETURN_IF_ERROR(
-      disk_->ReadAt(file_name_, lsn + kFrameHeaderBytes, len, &body));
-  if (body.size() < len) return Status::Corruption("truncated frame body");
-  uint32_t stored = crc32c::Unmask(GetU32At(header, 4));
-  if (crc32c::Compute(body) != stored) {
-    return Status::Corruption("frame CRC mismatch");
-  }
-  Status ds = LogRecord::Decode(body, out);
-  out->lsn = lsn;
-  return ds;
+  return DecodeFrameAt(frame, 0, lsn, out);
 }
 
 const LogFile::LogArena* LogFile::FindArenaLocked(uint64_t lsn) const {

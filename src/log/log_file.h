@@ -291,13 +291,25 @@ class LogFile {
   std::thread writer_thread_;
 };
 
+/// A frame is a header (u32 body length + u32 masked CRC) and the body.
+inline constexpr size_t kFrameHeaderBytes = 8;
+
 /// Build the on-disk frame for an encoded record body.
 Bytes FrameRecord(ByteView body);
 
+/// The body length the frame header at `data[pos...]` announces (reads 4
+/// bytes; the caller checks they are there).
+uint32_t FrameBodyLength(ByteView data, size_t pos);
+
 /// Parse a frame at `data[pos...]`. On success sets `*body_out` and
 /// `*frame_len`. A zero length prefix yields Status::NotFound (padding).
-/// Truncation / CRC mismatch yields Corruption.
+/// Truncation / CRC mismatch yields Corruption. The one judge of a frame:
+/// every reader of the log goes through it.
 Status ParseFrame(ByteView data, size_t pos, ByteView* body_out,
                   size_t* frame_len);
+
+/// Parse the frame at `data[pos...]` and decode its record as the one at
+/// `lsn`. A record position never names padding, so padding is Corruption.
+Status DecodeFrameAt(ByteView data, size_t pos, uint64_t lsn, LogRecord* out);
 
 }  // namespace msplog

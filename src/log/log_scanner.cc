@@ -7,39 +7,16 @@
 
 namespace msplog {
 
-namespace {
-constexpr uint64_t kFrameHeaderBytes = 8;  // u32 len + u32 masked crc
-
-/// The length prefix of the frame at `data[off]` (needs 4 bytes).
-uint32_t FrameLengthAt(ByteView data, uint64_t off) {
-  uint32_t len = 0;
-  for (int i = 0; i < 4; ++i) {
-    len |= static_cast<uint32_t>(static_cast<uint8_t>(data[off + i]))
-           << (8 * i);
-  }
-  return len;
-}
-}  // namespace
-
 bool ScanImage::Holds(uint64_t lsn) const {
   if (lsn < base || lsn - base >= bytes.size()) return false;
   const uint64_t off = lsn - base;
   const uint64_t room = bytes.size() - off;
   return room >= kFrameHeaderBytes &&
-         FrameLengthAt(bytes, off) <= room - kFrameHeaderBytes;
+         FrameBodyLength(bytes, off) <= room - kFrameHeaderBytes;
 }
 
 Status ScanImage::ReadRecordAt(uint64_t lsn, LogRecord* out) const {
-  ByteView body;
-  size_t frame_len = 0;
-  Status st = ParseFrame(bytes, lsn - base, &body, &frame_len);
-  if (st.IsNotFound()) {
-    return Status::Corruption("position points at log padding");
-  }
-  MSPLOG_RETURN_IF_ERROR(st);
-  MSPLOG_RETURN_IF_ERROR(LogRecord::Decode(body, out));
-  out->lsn = lsn;
-  return Status::OK();
+  return DecodeFrameAt(bytes, lsn - base, lsn, out);
 }
 
 LogScanner::LogScanner(SimDisk* disk, std::string file, uint64_t start_lsn,
@@ -88,7 +65,7 @@ Status LogScanner::Next(LogRecord* out) {
     // Bring in the whole frame when the durable extent holds it. A length
     // running past the durable end is left for ParseFrame to reject.
     const uint64_t frame_end =
-        pos_ + kFrameHeaderBytes + FrameLengthAt(image_.bytes, off);
+        pos_ + kFrameHeaderBytes + FrameBodyLength(image_.bytes, off);
     if (frame_end <= durable_size_) MSPLOG_RETURN_IF_ERROR(FillTo(frame_end));
     ByteView body;
     size_t frame_len = 0;

@@ -56,29 +56,14 @@ Status ReplayCursor::ReadDurable(uint64_t lsn, LogRecord* out) {
     chunk_valid_ = true;
     return Status::OK();
   };
-  MSPLOG_RETURN_IF_ERROR(ensure(lsn + 8));
-  if (chunk_.size() < lsn - chunk_base_ + 8) {
+  MSPLOG_RETURN_IF_ERROR(ensure(lsn + kFrameHeaderBytes));
+  if (chunk_.size() < lsn - chunk_base_ + kFrameHeaderBytes) {
     return Status::Corruption("position beyond durable log");
   }
   // Read the frame length to make sure the whole record is in the chunk.
-  uint64_t off = lsn - chunk_base_;
-  uint32_t len = 0;
-  for (int i = 0; i < 4; ++i) {
-    len |= static_cast<uint32_t>(static_cast<uint8_t>(chunk_[off + i]))
-           << (8 * i);
-  }
-  MSPLOG_RETURN_IF_ERROR(ensure(lsn + 8 + len));
-  ByteView body;
-  size_t frame_len = 0;
-  Status st = ParseFrame(ByteView(chunk_), lsn - chunk_base_, &body,
-                         &frame_len);
-  if (st.IsNotFound()) {
-    return Status::Corruption("position points at log padding");
-  }
-  MSPLOG_RETURN_IF_ERROR(st);
-  MSPLOG_RETURN_IF_ERROR(LogRecord::Decode(body, out));
-  out->lsn = lsn;
-  return Status::OK();
+  const uint32_t len = FrameBodyLength(chunk_, lsn - chunk_base_);
+  MSPLOG_RETURN_IF_ERROR(ensure(lsn + kFrameHeaderBytes + len));
+  return DecodeFrameAt(chunk_, lsn - chunk_base_, lsn, out);
 }
 
 // ---------------------------------------------------------------------------

@@ -1589,11 +1589,12 @@ std::string Msp::DumpStatusz() const {
     out.Add("recovered_table_entries", recovered_table_.entries().size());
   }
   {
+    // Every recovery starts a new epoch, so the epoch counts them. Only the
+    // outage view goes in: each Crash() freezes this dump into its bundle.
     audit::LockGuard lk(timeline_mu_);
-    size_t n = recovery_history_.size() +
-               (last_recovery_timeline_.epoch != 0 ? 1 : 0);
-    out.Add("recoveries", n)
-        .AddRaw("last_outage_report", last_outage_report_.ToJson());
+    out.Add("recoveries", last_recovery_timeline_.epoch)
+        .AddRaw("last_outage_report",
+                 last_recovery_timeline_.Outage().ToJson());
   }
   out.Add("crash_generation", crash_generation_.load());
   {

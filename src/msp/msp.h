@@ -28,7 +28,6 @@
 #pragma once
 
 #include <atomic>
-#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
@@ -50,7 +49,6 @@
 #include "msp/shared_variable.h"
 #include "msp/thread_pool.h"
 #include "obs/flight_recorder.h"
-#include "obs/outage_report.h"
 #include "obs/recovery_timeline.h"
 #include "recovery/recovered_state_table.h"
 #include "rpc/message.h"
@@ -149,23 +147,14 @@ class Msp {
   /// In-flight coalesced flush requests (one per open flight).
   size_t InFlightFlushesForTest() const;
 
-  /// Structured timeline of the most recent crash recovery: analysis-scan
-  /// duration and volume, per-session replay phases, parallelism achieved,
-  /// and orphan-recovery events observed since that recovery started.
+  /// The record of the most recent recovery (every Start() runs one):
+  /// analysis-scan duration and volume, every session replay with what
+  /// rebuilt the session, parallelism achieved, orphan-recovery events
+  /// observed since it started, and — after a crash — the flight bundle it
+  /// joined. Its Outage() is the outage view: per-session fate (replayed /
+  /// orphaned / never-logged), time-to-servable and MTTR percentiles;
+  /// invalid after a graceful restart, which joins no crash.
   obs::RecoveryTimeline LastRecoveryTimeline() const;
-
-  /// Bounded history of recovery timelines, oldest first, ending with the
-  /// in-progress/most-recent one. At most kRecoveryHistoryLimit entries are
-  /// retained; `max_n` (0 = all retained) trims to the most recent n.
-  std::vector<obs::RecoveryTimeline> RecentRecoveryTimelines(
-      size_t max_n = 0) const;
-
-  /// Outage report of the most recent crash recovery: the recovery-side
-  /// join of the flight recorder's frozen pre-crash bundle with the replay
-  /// — per-session fate (replayed / orphaned / never-logged), per-session
-  /// time-to-servable, and MTTR percentiles. `valid` is false until a crash
-  /// bundle has been joined; `complete` once every fate is resolved.
-  obs::OutageReport LastOutageReport() const;
 
   /// Crashes this Msp has suffered (Crash() calls; graceful Shutdown does
   /// not count). Monotonic across restarts — generation stamps the flight
@@ -331,12 +320,11 @@ class Msp {
   /// One replay pass from the latest checkpoint along the position stream.
   /// Records inside `image` (the crash recovery's scanned range, or null)
   /// are parsed from memory instead of read from disk.
-  /// `replayed_out`, when set, accumulates the number of requests replayed.
-  /// `prov`, when set, is overwritten with this pass's provenance (the
-  /// checkpoint initialized from and every request record consumed).
+  /// `rep` accumulates the requests replayed over every pass, and gets
+  /// this pass's provenance (the checkpoint initialized from and every
+  /// request record consumed).
   Status ReplayOnce(Session* s, const ScanImage* image,
-                    uint64_t* replayed_out = nullptr,
-                    obs::RecoveryTimeline::SessionProvenance* prov = nullptr);
+                    obs::RecoveryTimeline::SessionReplay* rep);
   /// Claim-and-replay one session (no-op if it already replayed or another
   /// replay owns it). `on_demand` marks admissions triggered by a live
   /// request (vs the background drain) in the recovery timeline.
@@ -431,14 +419,13 @@ class Msp {
   /// Test instrumentation, installed before Start().
   RequestHook after_request_hook_;  // audit:allow(guarded-by)
 
-  /// Timeline of the most recent CrashRecovery(); session-replay entries
+  /// Record of the most recent CrashRecovery(); session-replay entries
   /// (including lazy orphan recoveries) are appended as they finish.
   mutable audit::Mutex timeline_mu_{"msp.timeline"};
   obs::RecoveryTimeline last_recovery_timeline_ GUARDED_BY(timeline_mu_);
-  /// Completed predecessors of last_recovery_timeline_, oldest first,
-  /// trimmed to kRecoveryHistoryLimit.
-  static constexpr size_t kRecoveryHistoryLimit = 8;
-  std::deque<obs::RecoveryTimeline> recovery_history_ GUARDED_BY(timeline_mu_);
+  /// Crash generation whose flight bundle a recovery joined last, so a
+  /// graceful restart does not re-join a stale bundle.
+  uint64_t outage_joined_generation_ GUARDED_BY(timeline_mu_) = 0;
   /// Concurrent RecoverSessionReplay calls right now / high-water mark.
   std::atomic<uint32_t> active_replays_{0};
 
@@ -464,11 +451,6 @@ class Msp {
   /// Model time the most recent Start() finished (any mode) — the anchor of
   /// "uptime since last recovery" in statusz and the scraper probe.
   std::atomic<double> last_start_end_ms_{0.0};
-  /// The outage observatory's join state: the report for the most recent
-  /// joined crash bundle, and the generation already joined (so a graceful
-  /// restart does not re-join a stale bundle).
-  obs::OutageReport last_outage_report_ GUARDED_BY(timeline_mu_);
-  uint64_t outage_joined_generation_ GUARDED_BY(timeline_mu_) = 0;
 
   // Observability handles (owned by the environment's registry).
   obs::Histogram* hist_queue_wait_ms_;  ///< "msp.queue_wait_ms"

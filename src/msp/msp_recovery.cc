@@ -19,25 +19,6 @@ obs::RecoveryTimeline Msp::LastRecoveryTimeline() const {
   return last_recovery_timeline_;
 }
 
-std::vector<obs::RecoveryTimeline> Msp::RecentRecoveryTimelines(
-    size_t max_n) const {
-  audit::LockGuard lk(timeline_mu_);
-  std::vector<obs::RecoveryTimeline> out(recovery_history_.begin(),
-                                         recovery_history_.end());
-  if (last_recovery_timeline_.epoch != 0) {
-    out.push_back(last_recovery_timeline_);
-  }
-  if (max_n != 0 && out.size() > max_n) {
-    out.erase(out.begin(), out.end() - static_cast<ptrdiff_t>(max_n));
-  }
-  return out;
-}
-
-obs::OutageReport Msp::LastOutageReport() const {
-  audit::LockGuard lk(timeline_mu_);
-  return last_outage_report_;
-}
-
 Status Msp::CrashRecovery() {
   // Thin wrapper over the phased coordinator (recovery_coordinator.h):
   // analysis + open here, synchronously, so Start() can accept traffic the
@@ -89,23 +70,22 @@ Status Msp::RecoverSessionReplay(Session* s, bool from_crash) {
   // reference keeps them alive to the end of the replay.
   const std::shared_ptr<const ScanImage> image =
       recovery_coordinator_ ? recovery_coordinator_->image() : nullptr;
-  uint64_t requests_replayed = 0;
   // Delta over this replay distinguishes a clean "replayed" fate from an
-  // "orphaned" one in the outage report (the field is owner-thread only,
+  // "orphaned" one in the outage view (the field is owner-thread only,
   // and this thread owns the session for the duration of the replay).
   const uint64_t orphan_cuts_before = s->orphan_cuts;
-  obs::RecoveryTimeline::SessionProvenance prov;
-  prov.session_id = s->id;
+  obs::RecoveryTimeline::SessionReplay rep;
+  rep.session_id = s->id;
+  rep.from_crash = from_crash;
   Status st = Status::OK();
-  uint32_t rounds = 0;
   while (true) {
-    if (++rounds > 64) {
+    if (++rep.rounds > 64) {
       st = Status::Internal("session recovery did not converge");
       break;
     }
     // Each pass overwrites the provenance; the final converged pass is the
     // one that actually rebuilt the session, which is what we keep.
-    st = ReplayOnce(s, image.get(), &requests_replayed, &prov);
+    st = ReplayOnce(s, image.get(), &rep);
     if (st.IsOrphan()) continue;  // orphaned again mid-replay: start over
     if (!st.ok()) break;
     // §4.1 "Orphan Recovery upon Multiple Crashes": another crash may have
@@ -130,47 +110,20 @@ Status Msp::RecoverSessionReplay(Session* s, bool from_crash) {
                                    SnapshotRecoveredTable(), config_.id,
                                    epoch_.load(), s->dv);
   }
-  const double servable_now = env_->NowModelMs();
-  const double replay_ms = servable_now - replay_t0;
-  hist_replay_ms_->Record(replay_ms);
-  s->stats.OnReplayedRequests(requests_replayed);
+  // The session is servable again: the one write of this replay's result.
+  rep.servable_at_ms = env_->NowModelMs();
+  rep.replay_ms = rep.servable_at_ms - replay_t0;
+  rep.converged = st.ok();
+  rep.cut_eos = s->orphan_cuts > orphan_cuts_before;
+  hist_replay_ms_->Record(rep.replay_ms);
+  s->stats.OnReplayedRequests(rep.requests_replayed);
   s->stats.SetDvEntries(s->dv.entry_count());
-  env_->tracer().Record(obs::TraceEventType::kReplayEnd,
-                        env_->NowModelMs(), config_.id, s->id, /*seqno=*/0,
-                        "replayed=" + std::to_string(requests_replayed));
+  env_->tracer().Record(obs::TraceEventType::kReplayEnd, rep.servable_at_ms,
+                        config_.id, s->id, /*seqno=*/0,
+                        "replayed=" + std::to_string(rep.requests_replayed));
   {
     audit::LockGuard lk(timeline_mu_);
-    last_recovery_timeline_.session_replays.push_back(
-        {s->id, replay_ms, requests_replayed, rounds, from_crash, st.ok()});
-    prov.msp_checkpoint_lsn = last_recovery_timeline_.msp_checkpoint_lsn;
-    // Replace-or-append: a lazy orphan recovery updates its session's entry
-    // rather than duplicating it.
-    bool replaced = false;
-    for (auto& p : last_recovery_timeline_.provenance) {
-      if (p.session_id == s->id) {
-        p = prov;
-        replaced = true;
-        break;
-      }
-    }
-    if (!replaced) last_recovery_timeline_.provenance.push_back(prov);
-    // Resolve this session's fate in the outage report: the replay just
-    // made it servable again. An EOS cut during this replay means its
-    // in-flight work was orphaned; otherwise it replayed cleanly.
-    if (from_crash && st.ok() && last_outage_report_.valid) {
-      if (obs::OutageReport::SessionFate* f =
-              last_outage_report_.Find(s->id)) {
-        if (f->fate == "pending") {
-          f->fate =
-              s->orphan_cuts > orphan_cuts_before ? "orphaned" : "replayed";
-          f->servable_at_ms = servable_now;
-          f->time_to_servable_ms =
-              servable_now - last_outage_report_.crash_model_ms;
-          f->requests_replayed = requests_replayed;
-          last_outage_report_.Finalize();
-        }
-      }
-    }
+    last_recovery_timeline_.session_replays.push_back(std::move(rep));
   }
   // The client may still be waiting for the reply of the last request —
   // resend it (duplicate replies are discarded by receivers).
@@ -203,15 +156,12 @@ Status Msp::RecoverSessionReplay(Session* s, bool from_crash) {
 }
 
 Status Msp::ReplayOnce(Session* s, const ScanImage* image,
-                       uint64_t* replayed_out,
-                       obs::RecoveryTimeline::SessionProvenance* prov) {
+                       obs::RecoveryTimeline::SessionReplay* rep) {
   // 1. Initialize from the most recent session checkpoint (§4.1).
   uint64_t cp_lsn = s->last_checkpoint_lsn.load();
-  if (prov) {
-    prov->records.clear();
-    prov->log_records_consumed = 0;
-    prov->session_checkpoint_lsn = cp_lsn;
-  }
+  rep->records.clear();
+  rep->log_records_consumed = 0;
+  rep->session_checkpoint_lsn = cp_lsn;
   if (cp_lsn != 0) {
     LogRecord cp;
     MSPLOG_RETURN_IF_ERROR(image != nullptr && image->Holds(cp_lsn)
@@ -235,7 +185,7 @@ Status Msp::ReplayOnce(Session* s, const ScanImage* image,
   ReplayCursor cursor(log_.get(), s->positions.All(), image);
   // Every exit path stamps how far along the stream this pass got.
   auto done = [&](Status st) {
-    if (prov) prov->log_records_consumed = cursor.consumed();
+    rep->log_records_consumed = cursor.consumed();
     return st;
   };
   while (cursor.HasNext()) {
@@ -257,13 +207,13 @@ Status Msp::ReplayOnce(Session* s, const ScanImage* image,
     cursor.Skip();
     AdoptReplayedRecord(s, rec);
     s->next_expected_seqno = rec.seqno;
-    if (prov) prov->records.push_back({epoch_.load(), rec.seqno, rec.lsn});
+    rep->records.push_back({epoch_.load(), rec.seqno, rec.lsn});
 
     ExecContext ctx(this, s, ExecContext::Mode::kReplay, rec.seqno, &cursor);
     Bytes result;
     Status st = InvokeMethod(rec.target, &ctx, rec.payload, &result);
     env_->stats().requests_replayed.fetch_add(1);
-    if (replayed_out) ++*replayed_out;
+    ++rep->requests_replayed;
     if (st.IsOrphan() || st.IsCrashed() || st.IsTimedOut()) return done(st);
 
     ReplyCode code = st.ok() ? ReplyCode::kOk : ReplyCode::kAppError;

@@ -5,11 +5,11 @@
 // but the raw log image, using the same analysis pass crash recovery runs
 // (AnalyzeLog, log/log_scanner.h) and its session tables.
 //
-// The derivation is intentionally independent of the live outage join in
-// msp_recovery.cc: the log itself is the ground truth, so the two paths
-// cross-check each other. The core is separated from the msplog_postmortem
-// CLI so tests can run it in-process against a live SimDisk while CI runs
-// the CLI over a dumped bundle + exported image file.
+// The derivation is intentionally independent of the live recovery record
+// (obs/recovery_timeline.h): the log itself is the ground truth, so the two
+// paths cross-check each other. The core is separated from the
+// msplog_postmortem CLI so tests can run it in-process against a live
+// SimDisk while CI runs the CLI over a dumped bundle + exported image file.
 #pragma once
 
 #include <cstdint>

@@ -37,14 +37,6 @@ Status RecoveryCoordinator::RunAnalysis() {
 
   {
     audit::LockGuard lk(m->timeline_mu_);
-    // The previous recovery's timeline moves into the bounded history
-    // before this one takes the "last" slot.
-    if (m->last_recovery_timeline_.epoch != 0) {
-      m->recovery_history_.push_back(std::move(m->last_recovery_timeline_));
-      while (m->recovery_history_.size() > Msp::kRecoveryHistoryLimit) {
-        m->recovery_history_.pop_front();
-      }
-    }
     m->last_recovery_timeline_ = obs::RecoveryTimeline();
     m->last_recovery_timeline_.epoch = m->epoch_.load();
     m->last_recovery_timeline_.started_model_ms = t0;
@@ -92,9 +84,18 @@ Status RecoveryCoordinator::RunAnalysis() {
       }));
   m->log_->NoteFrameStarts(sector_frames);
 
+  // Outage observatory join (flight recorder × analysis scan): the frozen
+  // pre-crash bundle names the sessions that were in flight at the crash,
+  // and the session table rebuilt below says which of them left a durable
+  // trace. The record keeps these inputs; Outage() computes the fates.
+  const obs::FlightBundle bundle =
+      m->env_->flight_recorder().LatestBundleFor(m->config_.id);
+  const bool crashed =
+      bundle.frozen && bundle.generation == m->crash_generation_.load();
+  std::vector<obs::RecoveryTimeline::InflightSession> inflight;
+
   // Sessions: an in-range end outdates what the MSP checkpoint knew of a
   // session; every other session the scan saw gets its position stream.
-  std::vector<std::string> surviving_ids;
   {
     audit::LockGuard lk(m->sessions_mu_);
     for (auto& [id, a] : scan.sessions) {
@@ -110,11 +111,16 @@ Status RecoveryCoordinator::RunAnalysis() {
       std::erase_if(a.positions, [cp](uint64_t p) { return p <= cp; });
       s->positions.ReplaceAll(std::move(a.positions));
     }
-    for (auto& [id, s] : m->sessions_) {
-      s->recovering = true;
-      surviving_ids.push_back(id);
-    }
+    for (auto& [id, s] : m->sessions_) s->recovering = true;
     sessions_to_recover_ = m->sessions_.size();
+    if (crashed) {
+      for (const auto& [who, snap] : bundle.snapshots) {
+        if (who != m->config_.id) continue;
+        for (const std::string& id : snap.inflight_sessions) {
+          inflight.push_back({id, m->sessions_.count(id) > 0});
+        }
+      }
+    }
   }
 
   // Roll shared variables forward (§4.3): each ends at its newest write or
@@ -156,41 +162,6 @@ Status RecoveryCoordinator::RunAnalysis() {
     }
   }
 
-  // Outage observatory join (flight recorder × analysis scan): the frozen
-  // pre-crash bundle names the sessions that were in flight at the crash;
-  // the scan just established which of them left any durable trace. A
-  // bundle session absent from the rebuilt table was never logged — its
-  // client sees a fresh session, servable once the server reopens. The
-  // rest start "pending" and are resolved by their replay.
-  {
-    obs::FlightBundle bundle =
-        m->env_->flight_recorder().LatestBundleFor(m->config_.id);
-    audit::LockGuard lk(m->timeline_mu_);
-    if (bundle.frozen && bundle.generation == m->crash_generation_.load() &&
-        bundle.generation > m->outage_joined_generation_) {
-      m->outage_joined_generation_ = bundle.generation;
-      m->last_outage_report_ = obs::OutageReport();
-      m->last_outage_report_.valid = true;
-      m->last_outage_report_.generation = bundle.generation;
-      m->last_outage_report_.epoch = m->epoch_.load();
-      m->last_outage_report_.crash_model_ms = bundle.frozen_at_ms;
-      m->last_outage_report_.recovery_start_ms = t0;
-      for (const auto& [who, snap] : bundle.snapshots) {
-        if (who != m->config_.id) continue;
-        for (const std::string& id : snap.inflight_sessions) {
-          obs::OutageReport::SessionFate f;
-          f.session_id = id;
-          f.was_in_flight = true;
-          if (std::find(surviving_ids.begin(), surviving_ids.end(), id) ==
-              surviving_ids.end()) {
-            f.fate = "never-logged";
-          }
-          m->last_outage_report_.sessions.push_back(std::move(f));
-        }
-      }
-    }
-  }
-
   // Analysis phase (§4.3) ends here: the single-threaded scan is done and
   // every session knows its replay positions. What follows — broadcast and
   // the fresh MSP checkpoint — is attributed separately in the timeline.
@@ -207,6 +178,13 @@ Status RecoveryCoordinator::RunAnalysis() {
     m->last_recovery_timeline_.sessions_to_recover = sessions_to_recover_;
     m->last_recovery_timeline_.scan_start_lsn = min_lsn;
     m->last_recovery_timeline_.scan_end_lsn = durable;
+    // A graceful restart joins no bundle: its generation was joined.
+    if (crashed && bundle.generation > m->outage_joined_generation_) {
+      m->outage_joined_generation_ = bundle.generation;
+      m->last_recovery_timeline_.crash_generation = bundle.generation;
+      m->last_recovery_timeline_.crash_model_ms = bundle.frozen_at_ms;
+      m->last_recovery_timeline_.inflight = std::move(inflight);
+    }
   }
   return Status::OK();
 }
@@ -258,17 +236,6 @@ void RecoveryCoordinator::BeginBackgroundDrain() {
     audit::LockGuard lk(m->timeline_mu_);
     m->last_recovery_timeline_.open_for_traffic_ms =
         now - m->last_recovery_timeline_.started_model_ms;
-    // Never-logged sessions have no replay to resolve them: they become
-    // servable (as brand-new sessions) the moment the server reopens.
-    if (m->last_outage_report_.valid) {
-      for (auto& f : m->last_outage_report_.sessions) {
-        if (f.fate == "never-logged" && f.servable_at_ms == 0) {
-          f.servable_at_ms = now;
-          f.time_to_servable_ms = now - m->last_outage_report_.crash_model_ms;
-        }
-      }
-      m->last_outage_report_.Finalize();
-    }
   }
 
   // Priority order: smallest replay work-list first (shortest-job-first —

@@ -54,8 +54,8 @@ class RecoveryCoordinator {
 
   /// Phase 1 — the bounded analysis pass. On return every surviving session
   /// exists (marked recovering) with its replay positions reconstructed,
-  /// shared variables are rolled forward, and the outage report is joined
-  /// with the flight recorder's frozen pre-crash bundle.
+  /// shared variables are rolled forward, and the recovery record holds
+  /// its join with the flight recorder's frozen pre-crash bundle.
   Status RunAnalysis();
 
   /// Phase 2 — recovery broadcast + fresh MSP checkpoint (Fig. 12). After

@@ -114,8 +114,8 @@ class Session {
 
   /// Orphan cuts (§4.1 EOS records) applied to this session since it was
   /// (re)created. Mutated only by the thread currently replaying the
-  /// session; the outage join reads its own replay's delta to classify the
-  /// session's fate as "orphaned" vs cleanly "replayed".
+  /// session; each replay records its own delta as `cut_eos`, which tells
+  /// an "orphaned" outage fate from a cleanly "replayed" one.
   uint64_t orphan_cuts = 0;
 
   // ---- telemetry (obs/session_stats.h) ----

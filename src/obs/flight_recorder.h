@@ -8,10 +8,10 @@
 // recorder keeps no event ring of its own: the tracer (obs/trace.h) is the
 // environment's single always-on ring, and a bundle freezes its tail.
 // Bundles are bounded (oldest evicted) and immutable. The recovery-side
-// join (msp/recovery_coordinator.cc) correlates the latest crash bundle
-// with the replay to build the outage report (obs/outage_report.h), and
-// tools/msplog_postmortem re-derives the same report offline from a dumped
-// bundle plus the raw log image.
+// join (msp/recovery_coordinator.cc) records the latest crash bundle in the
+// recovery's record, whose outage view (obs/recovery_timeline.h) it feeds,
+// and tools/msplog_postmortem re-derives the same view offline from a
+// dumped bundle plus the raw log image.
 //
 // The recorder is owned by SimEnvironment, like the scraper rings, so its
 // bundles survive Msp crash/recovery cycles.
@@ -38,7 +38,7 @@ namespace obs {
 struct FlightSnapshot {
   std::string statusz_json;  ///< the server's DumpStatusz() at the freeze
   /// Ids of sessions that were started but not ended when the snapshot was
-  /// taken — the set the outage report must account for.
+  /// taken — the set the outage view must account for.
   std::vector<std::string> inflight_sessions;
   uint64_t log_end_lsn = 0;        ///< log tail extent (bytes appended)
   uint64_t log_durable_lsn = 0;    ///< durable prefix at the freeze

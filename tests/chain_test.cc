@@ -267,15 +267,15 @@ TEST_F(ChainTest, DistributedTraceSpansChainAndLogImageSelfChecks) {
             std::string::npos);
 
   // ---- recovery provenance on the restarted leaf ----
-  std::vector<obs::RecoveryTimeline::SessionProvenance> prov;
+  std::vector<obs::RecoveryTimeline::SessionReplay> replays;
   auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
   while (std::chrono::steady_clock::now() < deadline) {
-    prov = c_->LastRecoveryTimeline().provenance;
-    if (!prov.empty() && !prov[0].records.empty()) break;
+    replays = c_->LastRecoveryTimeline().session_replays;
+    if (!replays.empty() && !replays[0].records.empty()) break;
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
-  ASSERT_FALSE(prov.empty());
-  EXPECT_FALSE(prov[0].records.empty());
+  ASSERT_FALSE(replays.empty());
+  EXPECT_FALSE(replays[0].records.empty());
 
   // ---- offline inspection of C's physical log image ----
   ASSERT_TRUE(c_->log()->FlushAll().ok());

@@ -175,7 +175,7 @@ TEST_F(InstantRestartTest, RecrashDuringIncrementalRecovery) {
 
   // All five sessions were durably logged before the first crash, so the
   // outage join must resolve every fate (no "pending", no "never-logged").
-  obs::OutageReport report = msp_->LastOutageReport();
+  const obs::OutageReport report = msp_->LastRecoveryTimeline().Outage();
   ASSERT_TRUE(report.valid);
   EXPECT_TRUE(report.complete);
   EXPECT_EQ(report.epoch, 3u);

@@ -125,11 +125,28 @@ TEST_F(LogFileTest, ReadRecordAtServesBufferAndDisk) {
   uint64_t l2 = log.Append(MakeRequestRecord("s", 2, "m", "second"));
 
   LogRecord r;
+  auto disk_reads = [this] { return env_.stats().disk_reads.load(); };
+  uint64_t before = disk_reads();
   ASSERT_TRUE(log.ReadRecordAt(l1, &r).ok());  // durable
   EXPECT_EQ(r.payload, "first");
+  EXPECT_EQ(disk_reads() - before, 2u);  // header, then body
   ASSERT_TRUE(log.ReadRecordAt(l2, &r).ok());  // buffered
   EXPECT_EQ(r.payload, "second");
   EXPECT_EQ(r.lsn, l2);
+
+  // A bad durable frame is Corruption. The padding after l1 up to the
+  // sector boundary is one header read; a flipped body byte fails the CRC.
+  ASSERT_EQ(l2 % disk_.geometry().sector_bytes, 0u);
+  before = disk_reads();
+  EXPECT_TRUE(log.ReadRecordAt(l2 - kFrameHeaderBytes, &r).IsCorruption());
+  EXPECT_EQ(disk_reads() - before, 1u);
+  Bytes byte;
+  ASSERT_TRUE(disk_.ReadAt("log", l1 + kFrameHeaderBytes + 1, 1, &byte).ok());
+  byte[0] = static_cast<char>(byte[0] ^ 0x5A);
+  ASSERT_TRUE(disk_.WriteAt("log", l1 + kFrameHeaderBytes + 1, byte).ok());
+  before = disk_reads();
+  EXPECT_TRUE(log.ReadRecordAt(l1, &r).IsCorruption());
+  EXPECT_EQ(disk_reads() - before, 2u);
 }
 
 TEST_F(LogFileTest, CrashLosesBufferKeepsDurable) {

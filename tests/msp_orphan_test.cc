@@ -10,6 +10,7 @@
 
 #include "log/log_scanner.h"
 #include "msp/msp.h"
+#include "msp/postmortem.h"
 #include "msp/service_domain.h"
 #include "rpc/client_endpoint.h"
 #include "sim/sim_disk.h"
@@ -63,9 +64,9 @@ class OrphanTest : public ::testing::Test {
           MSPLOG_RETURN_IF_ERROR(ctx->WriteShared("X", "poisoned"));
           rewrites_.fetch_add(1);
           // Hold the method here (normal execution only) until the test
-          // opens the gate; replay / live continuation never blocks because
-          // the gate is left open.
-          while (!ctx->in_replay() && gate_.load() == 0) {
+          // opens the gate or alpha crashes under it; replay / live
+          // continuation never blocks because the gate is left open.
+          while (!ctx->in_replay() && gate_.load() == 0 && alpha_->running()) {
             std::this_thread::sleep_for(std::chrono::milliseconds(1));
           }
           *r = "done";
@@ -102,13 +103,20 @@ class OrphanTest : public ::testing::Test {
     ASSERT_TRUE(beta_->Start().ok());
   }
 
-  bool LogContainsEos(SimDisk* disk, const std::string& file) {
+  template <typename Pred>
+  bool LogContains(SimDisk* disk, const std::string& file, Pred pred) {
     LogScanner sc(disk, file, 0, disk->FileSize(file));
     LogRecord r;
     while (sc.Next(&r).ok()) {
-      if (r.type == LogRecordType::kEos) return true;
+      if (pred(r)) return true;
     }
     return false;
+  }
+
+  bool LogContainsEos(SimDisk* disk, const std::string& file) {
+    return LogContains(disk, file, [](const LogRecord& r) {
+      return r.type == LogRecordType::kEos;
+    });
   }
 
   SimEnvironment env_;
@@ -215,6 +223,72 @@ TEST_F(OrphanTest, OrphanRecoveryWritesEosRecord) {
   // and logged an EOS record pointing back to it (§4.1).
   ASSERT_TRUE(alpha_->log()->FlushAll().ok());
   EXPECT_TRUE(LogContainsEos(&disk_a_, "alpha.log"));
+}
+
+TEST_F(OrphanTest, CallerCrashReplayCutsOrphanAndRecordsOrphanedFate) {
+  ClientEndpoint c1(&env_, &net_, "cli1");
+  auto s1 = c1.StartSession("alpha");
+  const std::string id = s1.session_id;
+  std::thread t1([&] {
+    Bytes r;
+    Status st = c1.Call(&s1, "poison_gated", "", &r);
+    EXPECT_TRUE(st.ok()) << st.ToString();
+  });
+  // 1. alpha has logged beta's optimistic reply once the method writes X;
+  // make alpha's records durable while beta's stay volatile.
+  while (rewrites_.load() == 0) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_TRUE(alpha_->log()->FlushAll().ok());
+  // 2. beta loses the state alpha's logged reply depends on. alpha logs the
+  // recovered state number it announces while the session is still busy;
+  // flush until that record is durable.
+  CrashAndRestartBeta();
+  auto beta_epoch1_recovered = [](const LogRecord& r) {
+    return r.type == LogRecordType::kRecoveredState && r.peer == "beta" &&
+           r.peer_epoch == 1;
+  };
+  while (!LogContains(&disk_a_, "alpha.log", beta_epoch1_recovered)) {
+    ASSERT_TRUE(alpha_->log()->FlushAll().ok());
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  // 3. alpha crashes; the parked execution sees it and dies without a
+  // trace. The crash replay finds the logged reply orphaned, cuts an EOS
+  // there and continues live, through the now open gate.
+  alpha_->Crash();
+  gate_.store(1);
+  ASSERT_TRUE(alpha_->Start().ok());
+  t1.join();
+
+  // The reply can beat the replay's entry in the record: wait for the view.
+  obs::OutageReport view;
+  for (int i = 0; i < 10000; ++i) {
+    view = alpha_->LastRecoveryTimeline().Outage();
+    if (view.complete) break;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_TRUE(view.valid);
+  ASSERT_TRUE(view.complete);
+  ASSERT_EQ(view.sessions.size(), 1u);
+  EXPECT_EQ(view.sessions[0].session_id, id);
+  EXPECT_EQ(view.sessions[0].fate, "orphaned");
+
+  // The log alone tells the same story: an EOS written after the crash.
+  ASSERT_TRUE(alpha_->log()->FlushAll().ok());
+  const obs::FlightBundle bundle =
+      env_.flight_recorder().LatestBundleFor("alpha");
+  ASSERT_TRUE(bundle.frozen);
+  ASSERT_EQ(bundle.snapshots.size(), 1u);
+  const obs::FlightSnapshot& snap = bundle.snapshots[0].second;
+  PostmortemInput input;
+  input.actor = bundle.actor;
+  input.durable_at_crash = snap.log_durable_lsn;
+  input.inflight_sessions = snap.inflight_sessions;
+  PostmortemReport offline;
+  ASSERT_TRUE(DerivePostmortem(&disk_a_, "alpha.log", input, &offline).ok());
+  const PostmortemSessionFate* f = offline.Find(id);
+  ASSERT_NE(f, nullptr);
+  EXPECT_EQ(f->fate, "orphaned");
 }
 
 TEST_F(OrphanTest, RepeatedCalleeCrashesDisjointOrphanRecoveries) {

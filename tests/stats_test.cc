@@ -514,7 +514,7 @@ TEST(TracerDropTest, OverflowCountsDropsAndMirrorsIntoCounter) {
 }
 
 // ---------------------------------------------------------------------------
-// Recovery provenance + bounded timeline history + statusz.
+// Recovery provenance + statusz.
 
 TEST_F(StatsTest, RecoveryProvenanceNamesTheRecordsThatRebuiltTheSession) {
   Build(/*same_domain=*/true);
@@ -529,15 +529,17 @@ TEST_F(StatsTest, RecoveryProvenanceNamesTheRecordsThatRebuiltTheSession) {
   ASSERT_TRUE(alpha_->Start().ok());
   // Wait for the background replay to converge.
   auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
-  std::vector<obs::RecoveryTimeline::SessionProvenance> prov;
+  obs::RecoveryTimeline tl;
   while (std::chrono::steady_clock::now() < deadline) {
-    prov = alpha_->LastRecoveryTimeline().provenance;
-    if (!prov.empty()) break;
+    tl = alpha_->LastRecoveryTimeline();
+    if (!tl.session_replays.empty()) break;
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
-  ASSERT_EQ(prov.size(), 1u);
-  const auto& p = prov[0];
+  ASSERT_EQ(tl.session_replays.size(), 1u);
+  const auto& p = tl.session_replays[0];
   EXPECT_EQ(p.session_id, session.session_id);
+  EXPECT_TRUE(p.from_crash);
+  EXPECT_TRUE(p.converged);
   // Every request before the crash was rebuilt from a logged RequestReceive.
   ASSERT_EQ(p.records.size(), static_cast<size_t>(kN));
   for (size_t i = 1; i < p.records.size(); ++i) {
@@ -547,44 +549,11 @@ TEST_F(StatsTest, RecoveryProvenanceNamesTheRecordsThatRebuiltTheSession) {
   EXPECT_GE(p.log_records_consumed, p.records.size());
   // No session checkpoint was taken (thresholds off in Build).
   EXPECT_EQ(p.session_checkpoint_lsn, 0u);
-  // The timeline carries the same provenance plus the scan bounds.
-  obs::RecoveryTimeline tl = alpha_->LastRecoveryTimeline();
-  ASSERT_EQ(tl.provenance.size(), 1u);
-  EXPECT_EQ(tl.provenance[0].records.size(), p.records.size());
+  // The record carries the scan bounds next to the replay's provenance.
   EXPECT_GT(tl.scan_end_lsn, tl.scan_start_lsn);
   std::string json = tl.ToJson();
-  EXPECT_NE(json.find("\"provenance\""), std::string::npos);
+  EXPECT_NE(json.find("\"session_checkpoint_lsn\""), std::string::npos);
   EXPECT_NE(json.find("\"scan_start_lsn\""), std::string::npos);
-}
-
-TEST_F(StatsTest, RecentRecoveryTimelinesKeepsBoundedHistory) {
-  Build(/*same_domain=*/true);
-  ClientEndpoint client(&env_, &net_, "cli");
-  auto session = client.StartSession("alpha");
-  Bytes reply;
-  ASSERT_TRUE(client.Call(&session, "workload", "a", &reply).ok());
-  // Crash recovery runs on every Start, so the fresh boot already left one
-  // (empty-scan) timeline.
-  ASSERT_EQ(alpha_->RecentRecoveryTimelines().size(), 1u);
-
-  for (int round = 0; round < 2; ++round) {
-    alpha_->Crash();
-    ASSERT_TRUE(alpha_->Start().ok());
-    ASSERT_TRUE(client.Call(&session, "workload", "a", &reply).ok());
-  }
-  auto timelines = alpha_->RecentRecoveryTimelines();
-  ASSERT_EQ(timelines.size(), 3u);
-  // Oldest first; epochs advance by one per boot/crash cycle.
-  for (size_t i = 1; i < timelines.size(); ++i) {
-    EXPECT_EQ(timelines[i].epoch, timelines[i - 1].epoch + 1);
-  }
-  EXPECT_EQ(timelines.back().epoch, alpha_->epoch());
-  // Only the crash recoveries replayed the session.
-  EXPECT_EQ(timelines[0].sessions_to_recover, 0u);
-  // A max_n cap keeps only the most recent entries.
-  auto last_one = alpha_->RecentRecoveryTimelines(1);
-  ASSERT_EQ(last_one.size(), 1u);
-  EXPECT_EQ(last_one[0].epoch, timelines.back().epoch);
 }
 
 TEST_F(StatsTest, DumpStatuszCarriesLiveStateAndSurvivesCrashCycle) {
@@ -845,8 +814,9 @@ TEST_F(StatsTest, DumpStatuszAndTelemetryDumpsParseStrictly) {
   ASSERT_TRUE(bundle.frozen);
   EXPECT_TRUE(JsonStrict(bundle.ToJson()));
   ASSERT_TRUE(alpha_->Start().ok());
-  EXPECT_TRUE(JsonStrict(alpha_->LastRecoveryTimeline().ToJson()));
-  EXPECT_TRUE(JsonStrict(alpha_->LastOutageReport().ToJson()));
+  const obs::RecoveryTimeline tl = alpha_->LastRecoveryTimeline();
+  EXPECT_TRUE(JsonStrict(tl.ToJson()));
+  EXPECT_TRUE(JsonStrict(tl.Outage().ToJson()));
 }
 
 // ---------------------------------------------------------------------------
