@@ -13,8 +13,9 @@ histogram breakdown objects with consistent count/quantile fields.
 Recovery-side benches (RECOVERY_BENCHES) are checked against the outage
 observatory schema instead: an outage_report with known per-session fates,
 non-negative time-to-servable, and monotonic MTTR quantiles.
-Registered in CTest against `bench_fig14_response_time --quick` and
-`bench_recovery_time --quick`.
+Registered in CTest against `bench_fig14_response_time --quick`,
+`bench_flush_coalescing --quick`, `bench_recovery_time --quick` and
+`bench_micro_ops --json`.
 """
 import json
 import subprocess
@@ -44,9 +45,7 @@ REQUIRED_MTTR = ["count", "mean_ms", "p50_ms", "p90_ms", "p99_ms", "max_ms"]
 
 # Benches that must also carry per-session telemetry and a p99 blame
 # breakdown (the observability sections, validated structurally below).
-TELEMETRY_BENCHES = {
-    "fig14_response_time", "fig14_scraper_overhead", "flush_coalescing",
-}
+TELEMETRY_BENCHES = {"fig14_response_time", "flush_coalescing"}
 REQUIRED_SESSION = [
     "session", "requests", "nested_calls", "max_request_fanout",
     "cross_domain_calls", "flush_stalls", "flush_stall_ms", "log_records",

@@ -21,8 +21,8 @@
 // always older than any coexisting overflow entry from the same producer —
 // before touching the overflow.
 //
-// depth() is a relaxed atomic counter so observability probes (scraper
-// queue-depth samples every 100 ms) never contend with the request path.
+// depth() is a relaxed atomic counter, so reading it never contends with
+// the request path; ThreadPool's successor wakeup reads it.
 //
 // Sleeping when empty is the CALLER's concern (ThreadPool, Mailbox): this
 // type only provides the non-blocking operations plus the depth counter

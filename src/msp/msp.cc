@@ -29,9 +29,7 @@ Msp::Msp(SimEnvironment* env, SimNetwork* network, SimDisk* disk,
   hist_flush_wait_ms_ = m.GetHistogram("msp.flush_wait_ms");
   hist_request_ms_ = m.GetHistogram("msp.request_ms");
   hist_replay_ms_ = m.GetHistogram("msp.replay_ms");
-  ctr_requests_ = m.GetCounter("msp.requests");
   ctr_own_requests_ = m.GetCounter(config_.id + ".requests");
-  gauge_crash_generation_ = m.GetGauge(config_.id + ".crash_generation");
 
   // Black-box registration: at any freeze (our crash, or any invariant
   // violation) the environment's flight recorder captures this server's
@@ -98,7 +96,19 @@ Status Msp::Start() {
   if (st == State::kRunning || st == State::kRecovering) {
     return Status::InvalidArgument("MSP already running");
   }
+  // Live before anything is built: CrashLocked tears down only a live
+  // server. A failed start stops the threads and drops the log and store it
+  // built, so a retry runs recovery again from the durable state.
+  state_.store(State::kRecovering);
+  Status s = StartLocked();
+  if (!s.ok()) {
+    CrashLocked(/*is_crash=*/false);
+    state_.store(State::kStopped);
+  }
+  return s;
+}
 
+Status Msp::StartLocked() {
   LogFileOptions lopt;
   lopt.batch_flush = config_.batch_flush;
   lopt.batch_timeout_ms = config_.batch_timeout_ms;
@@ -117,13 +127,8 @@ Status Msp::Start() {
   pool_ = std::make_unique<ThreadPool>(config_.thread_pool_size);
   control_pool_ = std::make_unique<ThreadPool>(2);
   {
-    audit::LockGuard lk(probe_mu_);
-    probe_pool_ = pool_.get();
-  }
-  {
     audit::LockGuard lk(sessions_mu_);
     sessions_.clear();
-    queued_requests_.store(0, std::memory_order_relaxed);
   }
   {
     audit::LockGuard lk(table_mu_);
@@ -156,7 +161,6 @@ Status Msp::Start() {
     // reissued. A genuinely fresh boot just bumps to epoch 1 with an empty
     // scan, which is harmless. Only the bounded analysis pass and the open
     // preparation run here (phased coordinator); no session is replayed yet.
-    state_.store(State::kRecovering);
     MSPLOG_RETURN_IF_ERROR(CrashRecovery());
   }
 
@@ -176,13 +180,7 @@ Status Msp::Start() {
     recovery_coordinator_->BeginBackgroundDrain();
   }
 
-  const double now = env_->NowModelMs();
-  last_start_end_ms_.store(now, std::memory_order_relaxed);
-  // Mark the restart on the scraper's shared time axis; together with the
-  // crash mark this brackets the gap every per-MSP series shows.
-  env_->scraper().AnnotateEpoch(
-      now, config_.id + " up epoch=" + std::to_string(epoch_.load()) +
-               " gen=" + std::to_string(crash_generation_.load()));
+  last_start_end_ms_.store(env_->NowModelMs(), std::memory_order_relaxed);
   return Status::OK();
 }
 
@@ -200,11 +198,7 @@ void Msp::CrashLocked(bool is_crash) {
     // describe the moment of death. The bundle is generation-stamped so the
     // recovery-side join can tell this fault from earlier ones.
     const uint64_t gen = crash_generation_.fetch_add(1) + 1;
-    gauge_crash_generation_->Set(static_cast<int64_t>(gen));
     env_->flight_recorder().FreezeOnCrash(config_.id, gen);
-    env_->scraper().AnnotateEpoch(
-        env_->NowModelMs(),
-        config_.id + " crash gen=" + std::to_string(gen));
   }
 
   network_->Unregister(config_.id);
@@ -238,7 +232,6 @@ void Msp::CrashLocked(bool is_crash) {
   {
     audit::LockGuard lk(sessions_mu_);
     sessions_.clear();
-    queued_requests_.store(0, std::memory_order_relaxed);
   }
   {
     audit::LockGuard lk(vars_mu_);
@@ -259,13 +252,6 @@ void Msp::CrashLocked(bool is_crash) {
   }
   inbound_flush_.reset();
   store_.reset();
-  {
-    // Detach the scraper probe before the pool dies: the probe thread only
-    // dereferences probe_pool_ under probe_mu_, so after this block no
-    // probe can reach the object pool_.reset() is about to destroy.
-    audit::LockGuard lk(probe_mu_);
-    probe_pool_ = nullptr;
-  }
   pool_.reset();
   control_pool_.reset();
 }
@@ -357,7 +343,6 @@ void Msp::HandleRequestMsg(Message m) {
       env_->tracer().Record(obs::TraceEventType::kEnqueue, now_ms, config_.id,
                             m.session_id, m.seqno, m.method, span);
       s->pending_requests.push_back({std::move(m), now_ms, span});
-      queued_requests_.fetch_add(1, std::memory_order_relaxed);
       if (s->recovering) {
         // Admission gate (instant restart): the request is queued and a
         // replay of JUST this session is triggered on demand — it jumps the
@@ -419,7 +404,6 @@ void Msp::SessionWorker(std::shared_ptr<Session> s) {
         enqueue_ms = s->pending_requests.front().enqueue_model_ms;
         span = s->pending_requests.front().span;
         s->pending_requests.pop_front();
-        queued_requests_.fetch_sub(1, std::memory_order_relaxed);
         have_msg = true;
       } else {
         s->worker_active = false;
@@ -447,7 +431,6 @@ void Msp::SessionWorker(std::shared_ptr<Session> s) {
       // kCrashed/kTimedOut: the client resends; nothing more to do here.
       (void)ProcessRequest(s.get(), m, span);
       hist_request_ms_->Record(env_->NowModelMs() - t_start);
-      ctr_requests_->Add(1);
       ctr_own_requests_->Add(1);
     }
   }
@@ -1479,45 +1462,6 @@ std::vector<obs::SessionStatsSnapshot> Msp::SessionTelemetry() const {
   out.reserve(snap.size());
   for (const auto& [id, s] : snap) out.push_back(s->stats.Snap(id));
   return out;
-}
-
-void Msp::RegisterTelemetryProbes(obs::MetricsScraper* scraper) const {
-  const std::string p = config_.id + ".";
-  scraper->AddProbe(p + "sessions", [this] {
-    return static_cast<double>(SessionCount());
-  });
-  // Both queue-depth probes read relaxed atomics: the scraper fires every
-  // 100ms and must never contend with the request hot path for a mutex.
-  scraper->AddProbe(p + "queued_requests", [this] {
-    return static_cast<double>(
-        queued_requests_.load(std::memory_order_relaxed));
-  });
-  scraper->AddProbe(p + "pool.queue_depth", [this] {
-    audit::LockGuard lk(probe_mu_);
-    return probe_pool_ ? static_cast<double>(probe_pool_->queued()) : 0.0;
-  });
-  // Aggregates over live sessions' relaxed-atomic telemetry; the sessions
-  // table lock only pins the session set, never session bodies.
-  auto sum = [this](uint64_t (*field)(const Session&)) {
-    audit::LockGuard lk(sessions_mu_);
-    uint64_t total = 0;
-    for (const auto& [id, s] : sessions_) total += field(*s);
-    return static_cast<double>(total);
-  };
-  scraper->AddProbe(p + "telemetry.requests", [sum] {
-    return sum([](const Session& s) { return s.stats.requests(); });
-  });
-  scraper->AddProbe(p + "telemetry.flush_stalls", [sum] {
-    return sum([](const Session& s) { return s.stats.flush_stalls(); });
-  });
-  scraper->AddProbe(p + "crash_generation", [this] {
-    return static_cast<double>(crash_generation_.load());
-  });
-  scraper->AddProbe(p + "uptime_ms", [this] {
-    double up = last_start_end_ms_.load(std::memory_order_relaxed);
-    if (up <= 0 || state_.load() != State::kRunning) return 0.0;
-    return env_->NowModelMs() - up;
-  });
 }
 
 obs::FlightSnapshot Msp::BuildFlightSnapshot() const {

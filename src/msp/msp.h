@@ -98,7 +98,8 @@ class Msp {
   // ---- lifecycle ----
   /// Boot the server. If a durable log exists (kLogBased), runs crash
   /// recovery (§4.3) before accepting traffic; sessions then recover in
-  /// parallel while new sessions are served.
+  /// parallel while new sessions are served. A start that fails tears down
+  /// whatever it built and leaves the server stopped, so it can be retried.
   Status Start();
 
   /// Graceful stop: flushes the log, joins all threads, unregisters.
@@ -165,12 +166,6 @@ class Msp {
   /// Relaxed-atomic reads; safe from any thread while workers run.
   std::vector<obs::SessionStatsSnapshot> SessionTelemetry() const;
 
-  /// Register this server's per-session aggregate probes with a scraper
-  /// ("<id>.sessions", "<id>.queued_requests", "<id>.telemetry.requests",
-  /// "<id>.telemetry.flush_stalls"). The probes capture `this`: the Msp
-  /// must outlive the scraper's sampling (stop the scraper first).
-  void RegisterTelemetryProbes(obs::MetricsScraper* scraper) const;
-
   /// One-call structured snapshot of the server ("/statusz"): identity,
   /// lifecycle state, epoch, session/queue occupancy, log extents,
   /// per-session telemetry, and latency-histogram quantiles. JSON; safe to
@@ -186,6 +181,10 @@ class Msp {
   /// Block until no worker or recovery thread owns `s` (test-hook helper;
   /// establishes happens-before with the owner thread's last writes).
   void QuiesceSession(Session* s) const;
+
+  /// Start() body after the state check: builds the log, pools and store,
+  /// runs crash recovery and opens the server.
+  Status StartLocked() REQUIRES(lifecycle_mu_);
 
   /// Crash/stop body; caller holds lifecycle_mu_. `is_crash` distinguishes
   /// a simulated fault (bumps the crash generation and freezes a flight
@@ -435,21 +434,10 @@ class Msp {
   std::unique_ptr<RecoveryCoordinator>
       recovery_coordinator_;  // audit:allow(guarded-by)
 
-  /// Queue depth across every session's pending_requests, maintained with
-  /// relaxed increments/decrements at enqueue/dequeue so the telemetry
-  /// scraper's "queued_requests" probe never takes sessions_mu_.
-  std::atomic<uint64_t> queued_requests_{0};
-
-  /// Scraper-safe handle to pool_: the probe thread dereferences the pool
-  /// while Crash() may be resetting it, so the probe reads this pointer
-  /// under its own tiny mutex and Crash nulls it before pool_.reset().
-  mutable audit::Mutex probe_mu_{"msp.probe"};
-  ThreadPool* probe_pool_ GUARDED_BY(probe_mu_) = nullptr;
-
   /// Crashes suffered (not graceful shutdowns); stamps flight bundles.
   std::atomic<uint64_t> crash_generation_{0};
   /// Model time the most recent Start() finished (any mode) — the anchor of
-  /// "uptime since last recovery" in statusz and the scraper probe.
+  /// statusz's "uptime since last recovery".
   std::atomic<double> last_start_end_ms_{0.0};
 
   // Observability handles (owned by the environment's registry).
@@ -458,9 +446,7 @@ class Msp {
   obs::Histogram* hist_flush_wait_ms_;  ///< "msp.flush_wait_ms" (dist flush)
   obs::Histogram* hist_request_ms_;     ///< "msp.request_ms" (dequeue→done)
   obs::Histogram* hist_replay_ms_;      ///< "msp.replay_ms" per session replay
-  obs::Counter* ctr_requests_;          ///< "msp.requests" (every MSP)
   obs::Counter* ctr_own_requests_;      ///< "<id>.requests"
-  obs::Gauge* gauge_crash_generation_;  ///< "<id>.crash_generation"
 
   /// Psession's or StateServer's session-state store (null in the other
   /// modes). Created in Start() before workers exist; internally locked.

@@ -242,12 +242,17 @@ Status Msp::ForceSharedVarCheckpointImpl(const std::string& name) {
   return st;
 }
 
+namespace {
+/// How often the checkpoint daemon checks the log's growth (model ms).
+constexpr double kCheckpointDaemonIntervalMs = 250.0;
+}  // namespace
+
 void Msp::CheckpointDaemonLoop() {
   audit::UniqueLock lk(cp_mu_);
   while (!cp_stop_) {
     cp_cv_.wait_for(lk,
                     std::chrono::milliseconds(
-                        RealWaitMs(config_.checkpoint_interval_ms)),
+                        RealWaitMs(kCheckpointDaemonIntervalMs)),
                     [&] {
                       cp_mu_.AssertHeld();
                       return cp_stop_;

@@ -72,8 +72,6 @@ struct MspConfig {
   /// (`<log>.arc.<base>`) before punching it, so offline forensics can still
   /// reconstruct the full log image (msplog_inspect --archive-manifest).
   bool archive_log = false;
-  /// Daemon wake interval (model ms).
-  double checkpoint_interval_ms = 250.0;
 
   // ---- rpc ----
   /// Resend timeout for outgoing MSP-to-MSP calls (model ms).

@@ -60,9 +60,6 @@ class ThreadPool {
   void Abort();
 
   size_t num_threads() const { return workers_.size(); }
-  /// Relaxed-atomic depth: safe to sample at any rate (scraper probes it
-  /// every 100 ms) without ever contending with Submit/worker pops.
-  size_t queued() const { return queue_.depth(); }
 
  private:
   void WorkerLoop();

@@ -13,8 +13,8 @@
 // and tools/msplog_postmortem re-derives the same view offline from a
 // dumped bundle plus the raw log image.
 //
-// The recorder is owned by SimEnvironment, like the scraper rings, so its
-// bundles survive Msp crash/recovery cycles.
+// The recorder is owned by SimEnvironment, so its bundles survive Msp
+// crash/recovery cycles.
 //
 // Layering: like every obs component this file depends only on audit/ and
 // injected callbacks — the environment passes its model clock, the tracer

@@ -3,7 +3,7 @@
 // Every machine-readable document msplog emits is built with these two
 // builders: statusz, flight bundles, recovery timelines, outage and
 // post-mortem reports, the offline inspector's report, tail blame, session
-// telemetry, the metrics/tracer/scraper dumps and the benches' BENCH_JSON
+// telemetry, the metrics and tracer dumps and the benches' BENCH_JSON
 // lines. Escaping and number formatting therefore live in one place:
 //
 //   * output is compact (no whitespace) and keeps insertion order;

@@ -149,13 +149,6 @@ Counter* MetricsRegistry::GetCounter(const std::string& name) {
   return slot.get();
 }
 
-Gauge* MetricsRegistry::GetGauge(const std::string& name) {
-  audit::LockGuard lk(mu_);
-  auto& slot = gauges_[name];
-  if (!slot) slot = std::make_unique<Gauge>();
-  return slot.get();
-}
-
 Histogram* MetricsRegistry::GetHistogram(const std::string& name) {
   audit::LockGuard lk(mu_);
   auto& slot = histograms_[name];
@@ -167,20 +160,17 @@ MetricsRegistry::RegistrySnapshot MetricsRegistry::Snap() const {
   RegistrySnapshot out;
   audit::LockGuard lk(mu_);
   for (const auto& [name, c] : counters_) out.counters[name] = c->Value();
-  for (const auto& [name, g] : gauges_) out.gauges[name] = g->Value();
   for (const auto& [name, h] : histograms_) out.histograms[name] = h->Snap();
   return out;
 }
 
 std::string MetricsRegistry::ToJson() const {
   RegistrySnapshot s = Snap();
-  Json counters, gauges, histograms;
+  Json counters, histograms;
   for (const auto& [name, v] : s.counters) counters.Add(name, v);
-  for (const auto& [name, v] : s.gauges) gauges.Add(name, v);
   for (const auto& [name, h] : s.histograms) histograms.Add(name, h);
   return Json()
       .Add("counters", counters)
-      .Add("gauges", gauges)
       .Add("histograms", histograms)
       .Str();
 }

@@ -1,5 +1,5 @@
-// Observability metrics — process-wide named counters, gauges and
-// log-bucketed latency histograms.
+// Observability metrics — process-wide named counters and log-bucketed
+// latency histograms.
 //
 // Design constraints (this is the measurement substrate the perf PRs report
 // against, so it must not perturb what it measures):
@@ -41,17 +41,6 @@ class Counter {
 
  private:
   std::atomic<uint64_t> v_{0};
-};
-
-/// Instantaneous signed level (queue depths, active workers, ...).
-class Gauge {
- public:
-  void Set(int64_t v) { v_.store(v, std::memory_order_relaxed); }
-  void Add(int64_t d) { v_.fetch_add(d, std::memory_order_relaxed); }
-  int64_t Value() const { return v_.load(std::memory_order_relaxed); }
-
- private:
-  std::atomic<int64_t> v_{0};
 };
 
 /// Log-bucketed latency/size histogram.
@@ -118,24 +107,21 @@ void AppendJsonValue(std::string* out, const Histogram::Snapshot& s);
 class MetricsRegistry {
  public:
   Counter* GetCounter(const std::string& name);
-  Gauge* GetGauge(const std::string& name);
   Histogram* GetHistogram(const std::string& name);
 
   /// Plain-value copy of everything, for reporting.
   struct RegistrySnapshot {
     std::map<std::string, uint64_t> counters;
-    std::map<std::string, int64_t> gauges;
     std::map<std::string, Histogram::Snapshot> histograms;
   };
   RegistrySnapshot Snap() const;
 
-  /// One JSON object: {"counters":{...},"gauges":{...},"histograms":{...}}.
+  /// One JSON object: {"counters":{...},"histograms":{...}}.
   std::string ToJson() const;
 
  private:
   mutable audit::Mutex mu_{"obs.metrics"};
   std::map<std::string, std::unique_ptr<Counter>> counters_ GUARDED_BY(mu_);
-  std::map<std::string, std::unique_ptr<Gauge>> gauges_ GUARDED_BY(mu_);
   std::map<std::string, std::unique_ptr<Histogram>> histograms_
       GUARDED_BY(mu_);
 };

@@ -90,13 +90,6 @@ class SessionStats {
     dv_entries_.store(n, std::memory_order_relaxed);
   }
 
-  uint64_t requests() const {
-    return requests_.load(std::memory_order_relaxed);
-  }
-  uint64_t flush_stalls() const {
-    return flush_stalls_.load(std::memory_order_relaxed);
-  }
-
   /// Plain-value copy; `session_id` is stamped into the snapshot.
   SessionStatsSnapshot Snap(const std::string& session_id) const;
 

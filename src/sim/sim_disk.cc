@@ -36,7 +36,6 @@ void SimDisk::ChargeRead(uint64_t bytes) {
       (bytes + geometry_.sector_bytes - 1) / geometry_.sector_bytes;
   if (sectors == 0) sectors = 1;
   env_->stats().disk_reads.fetch_add(1);
-  env_->stats().disk_sectors_read.fetch_add(sectors);
   if (!charge_latency_) return;
   double ms = geometry_.ReadLatencyMs(sectors);
   {
@@ -63,7 +62,6 @@ Status SimDisk::WriteAt(const std::string& file, uint64_t offset,
     if (f.size() < offset) f.resize(offset, '\0');
     if (f.size() < offset + data.size()) f.resize(offset + data.size(), '\0');
     f.replace(offset, data.size(), data.data(), data.size());
-    env_->stats().disk_bytes_written.fetch_add(data.size());
   }
   NotifyCompletion(file, offset, data.size());
   return Status::OK();
@@ -77,7 +75,6 @@ Status SimDisk::Append(const std::string& file, ByteView data) {
     Bytes& f = files_[file];
     offset = f.size();
     f.append(data.data(), data.size());
-    env_->stats().disk_bytes_written.fetch_add(data.size());
   }
   NotifyCompletion(file, offset, data.size());
   return Status::OK();

@@ -52,8 +52,7 @@ void SimEnvironment::UseFineTimerSlack() {
 
 SimEnvironment::SimEnvironment(double time_scale)
     : time_scale_(time_scale), start_ns_(NowNs()),
-      flight_recorder_([this] { return NowModelMs(); }),
-      scraper_(&metrics_, [this] { return NowModelMs(); }) {
+      flight_recorder_([this] { return NowModelMs(); }) {
   // Ring overwrites become a visible counter: benches check it and warn in
   // their BENCH_JSON when a trace was silently truncated.
   tracer_.set_drop_counter(metrics_.GetCounter("obs.trace_dropped"));

@@ -25,7 +25,6 @@
 
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
-#include "obs/scraper.h"
 #include "obs/trace.h"
 
 namespace msplog {
@@ -34,14 +33,11 @@ namespace msplog {
 struct SimStats {
   std::atomic<uint64_t> disk_flushes{0};
   std::atomic<uint64_t> disk_sectors_written{0};
-  std::atomic<uint64_t> disk_bytes_written{0};   ///< logical payload bytes
   std::atomic<uint64_t> disk_bytes_wasted{0};    ///< sector-padding bytes
   std::atomic<uint64_t> disk_reads{0};
-  std::atomic<uint64_t> disk_sectors_read{0};
   std::atomic<uint64_t> disk_bytes_reclaimed{0};  ///< log GC (hole punching)
   std::atomic<uint64_t> messages_sent{0};
   std::atomic<uint64_t> messages_dropped{0};
-  std::atomic<uint64_t> messages_duplicated{0};
   std::atomic<uint64_t> message_bytes{0};
   std::atomic<uint64_t> dv_entries_attached{0};  ///< DV size overhead (§3.1)
   std::atomic<uint64_t> log_records_appended{0};
@@ -59,26 +55,21 @@ struct SimStats {
 
   /// Plain-value copy of the counters (for before/after deltas in tests).
   struct Snapshot {
-    uint64_t disk_flushes, disk_sectors_written, disk_bytes_written,
-        disk_bytes_wasted, disk_reads, disk_sectors_read,
-        disk_bytes_reclaimed, messages_sent,
-        messages_dropped, messages_duplicated, message_bytes,
-        dv_entries_attached, log_records_appended, log_bytes_appended,
-        distributed_flushes, requests_replayed, sessions_recovered,
-        orphans_detected, replay_misalignments, checkpoints_session,
-        checkpoints_shared_var, checkpoints_msp;
+    uint64_t disk_flushes, disk_sectors_written, disk_bytes_wasted,
+        disk_reads, disk_bytes_reclaimed, messages_sent, messages_dropped,
+        message_bytes, dv_entries_attached, log_records_appended,
+        log_bytes_appended, distributed_flushes, requests_replayed,
+        sessions_recovered, orphans_detected, replay_misalignments,
+        checkpoints_session, checkpoints_shared_var, checkpoints_msp;
   };
   Snapshot Snap() const {
     return Snapshot{disk_flushes.load(),
                     disk_sectors_written.load(),
-                    disk_bytes_written.load(),
                     disk_bytes_wasted.load(),
                     disk_reads.load(),
-                    disk_sectors_read.load(),
                     disk_bytes_reclaimed.load(),
                     messages_sent.load(),
                     messages_dropped.load(),
-                    messages_duplicated.load(),
                     message_bytes.load(),
                     dv_entries_attached.load(),
                     log_records_appended.load(),
@@ -144,7 +135,7 @@ class SimEnvironment {
   SimStats& stats() { return stats_; }
   const SimStats& stats() const { return stats_; }
 
-  /// Named counters/gauges/histograms for everything in this environment.
+  /// Named counters and histograms for everything in this environment.
   /// Handles are stable; look them up once and record with relaxed atomics.
   obs::MetricsRegistry& metrics() { return metrics_; }
   const obs::MetricsRegistry& metrics() const { return metrics_; }
@@ -155,19 +146,13 @@ class SimEnvironment {
   const obs::EventTracer& tracer() const { return tracer_; }
 
   /// Crash black box: frozen snapshot bundles, each with the tracer's tail.
-  /// Owned here — like the scraper — so the bundles survive Msp
-  /// crash/recovery; frozen automatically on any audit invariant violation
-  /// via a registry hook installed at construction.
+  /// Owned here so the bundles survive Msp crash/recovery; frozen
+  /// automatically on any audit invariant violation via a registry hook
+  /// installed at construction.
   obs::FlightRecorder& flight_recorder() { return flight_recorder_; }
   const obs::FlightRecorder& flight_recorder() const {
     return flight_recorder_;
   }
-
-  /// Background time-series sampler over this environment's registry.
-  /// Owned here rather than by any server so its rings survive MSP
-  /// crash/restart cycles; idle (not started) by default.
-  obs::MetricsScraper& scraper() { return scraper_; }
-  const obs::MetricsScraper& scraper() const { return scraper_; }
 
  private:
   double time_scale_;
@@ -176,7 +161,6 @@ class SimEnvironment {
   obs::MetricsRegistry metrics_;
   obs::EventTracer tracer_;
   obs::FlightRecorder flight_recorder_;  ///< after tracer_: dumps its tail
-  obs::MetricsScraper scraper_;  ///< last member: stops before peers die
   int violation_hook_id_ = 0;
 };
 

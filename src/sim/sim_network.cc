@@ -196,7 +196,6 @@ void SimNetwork::Send(const std::string& from, const std::string& to,
       return;
     }
     if (plan.duplicate_prob > 0 && rng_.Chance(plan.duplicate_prob)) {
-      env_->stats().messages_duplicated.fetch_add(1);
       copies = 2;
     }
     if (plan.reorder_jitter_ms > 0) {

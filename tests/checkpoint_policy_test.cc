@@ -116,7 +116,6 @@ TEST_F(CheckpointPolicyTest, DaemonTakesMspCheckpointsBySize) {
   MspConfig c;
   c.id = "alpha";
   c.checkpoint_daemon = true;
-  c.checkpoint_interval_ms = 1.0;
   c.msp_checkpoint_log_bytes = 4096;
   c.session_checkpoint_threshold_bytes = 4096;
   StartMsp(c);

@@ -169,7 +169,7 @@ TEST(FlightRecorderIntegrationTest, InvariantViolationFreezesServerState) {
   w.Shutdown();
 }
 
-TEST(FlightRecorderIntegrationTest, StatuszAndScraperCarryCrashEpochs) {
+TEST(FlightRecorderIntegrationTest, StatuszCarriesCrashEpochs) {
   PaperWorkloadOptions opts;
   opts.config = PaperConfig::kLoOptimistic;
   opts.time_scale = 0.0;
@@ -192,23 +192,6 @@ TEST(FlightRecorderIntegrationTest, StatuszAndScraperCarryCrashEpochs) {
   std::string statusz1 = w.msp1()->DumpStatusz();
   EXPECT_NE(statusz1.find("\"crash_generation\":1"), std::string::npos);
   EXPECT_NE(statusz1.find("\"last_outage_report\":{"), std::string::npos);
-
-  // Crash + recovery annotate the metrics timeline; the scraper exposes
-  // the marks in both expositions.
-  std::vector<obs::MetricsScraper::EpochMark> marks =
-      w.env()->scraper().EpochMarks();
-  ASSERT_GE(marks.size(), 2u);
-  bool saw_crash = false, saw_up = false;
-  for (const auto& m : marks) {
-    if (m.label.find("msp1 crash gen=1") != std::string::npos) saw_crash = true;
-    if (m.label.find("msp1 up") != std::string::npos) saw_up = true;
-  }
-  EXPECT_TRUE(saw_crash);
-  EXPECT_TRUE(saw_up);
-  EXPECT_NE(w.env()->scraper().DumpPrometheus().find("# EPOCH"),
-            std::string::npos);
-  EXPECT_NE(w.env()->scraper().DumpJson().find("\"epoch_marks\":["),
-            std::string::npos);
   w.Shutdown();
 }
 

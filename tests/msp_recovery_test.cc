@@ -3,6 +3,8 @@
 // semantics across crashes, parallel session recovery.
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <filesystem>
 #include <thread>
 
 #include "msp/msp.h"
@@ -14,6 +16,29 @@
 
 namespace msplog {
 namespace {
+
+/// Threads of this process, as the kernel lists them.
+size_t ThreadCount() {
+  size_t n = 0;
+  for (const auto& task :
+       std::filesystem::directory_iterator("/proc/self/task")) {
+    (void)task;
+    ++n;
+  }
+  return n;
+}
+
+/// True once at most `n` threads remain. A joined thread can stay listed
+/// for a moment after join() returns, so this polls for a while.
+bool ThreadsSettleAtMost(size_t n) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (ThreadCount() > n) {
+    if (std::chrono::steady_clock::now() > deadline) return false;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return true;
+}
 
 class MspRecoveryTest : public ::testing::Test {
  protected:
@@ -315,6 +340,50 @@ TEST_F(MspRecoveryTest, PositionStreamsWriteNoFiles) {
   for (const std::string& f : disk_.ListFiles()) {
     EXPECT_NE(f.rfind("pos/", 0), 0u) << "position-stream file " << f;
   }
+}
+
+// A start that fails leaves the server stopped: every thread it started is
+// gone, and a retry runs recovery again instead of reporting "already
+// running".
+TEST_F(MspRecoveryTest, FailedStartStopsAndCanBeRetried) {
+  if (!std::filesystem::exists("/proc/self/task")) {
+    GTEST_SKIP() << "needs /proc/self/task";
+  }
+  StartMsp(BaseConfig());
+  ClientEndpoint client(&env_, &net_, "cli");
+  auto session = client.StartSession("alpha");
+  Bytes reply;
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_TRUE(client.Call(&session, "counter", "", &reply).ok());
+  }
+  msp_->Shutdown();
+
+  // Flip one byte of the anchor's body: its CRC no longer matches.
+  Bytes anchor;
+  ASSERT_TRUE(disk_.ReadAt("alpha.anchor", 0, 16, &anchor).ok());
+  Bytes corrupt = anchor;
+  corrupt[8] ^= 0x01;
+  ASSERT_TRUE(disk_.WriteAt("alpha.anchor", 0, corrupt).ok());
+
+  const size_t threads_before = ThreadCount();
+  for (int attempt = 0; attempt < 2; ++attempt) {
+    Status st = msp_->Start();
+    EXPECT_TRUE(st.IsCorruption()) << "attempt " << attempt << ": "
+                                   << st.ToString();
+    EXPECT_FALSE(msp_->running());
+    EXPECT_NE(msp_->DumpStatusz().find("\"state\":\"stopped\""),
+              std::string::npos)
+        << "attempt " << attempt;
+    EXPECT_TRUE(ThreadsSettleAtMost(threads_before))
+        << "attempt " << attempt << ": " << ThreadCount() << " threads, "
+        << threads_before << " before Start()";
+  }
+
+  // With the anchor repaired, the next start recovers the session.
+  ASSERT_TRUE(disk_.WriteAt("alpha.anchor", 0, anchor).ok());
+  ASSERT_TRUE(msp_->Start().ok());
+  ASSERT_TRUE(client.Call(&session, "counter", "", &reply).ok());
+  EXPECT_EQ(reply, "4");
 }
 
 TEST_F(MspRecoveryTest, RequestsDuringRecoveryEventuallyServed) {

@@ -15,7 +15,6 @@
 #include "obs/blame.h"
 #include "obs/json.h"
 #include "obs/metrics.h"
-#include "obs/scraper.h"
 #include "obs/session_stats.h"
 #include "obs/trace.h"
 #include "rpc/client_endpoint.h"
@@ -797,12 +796,6 @@ TEST_F(StatsTest, DumpStatuszAndTelemetryDumpsParseStrictly) {
   EXPECT_TRUE(JsonStrict(
       obs::AttributeTailQuantile(env_.tracer().Events(), 0.99).ToJson()));
 
-  // Scraper JSON exposition, with MSP probes attached and samples taken.
-  env_.scraper().WatchAllRegistered();
-  alpha_->RegisterTelemetryProbes(&env_.scraper());
-  env_.scraper().SampleNow();
-  env_.scraper().SampleNow();
-  EXPECT_TRUE(JsonStrict(env_.scraper().DumpJson()));
   EXPECT_TRUE(JsonStrict(env_.metrics().ToJson()));
   EXPECT_TRUE(JsonStrict(env_.tracer().DumpJson()));
   EXPECT_TRUE(JsonStrict(env_.tracer().DumpChromeTracing()));
@@ -817,136 +810,6 @@ TEST_F(StatsTest, DumpStatuszAndTelemetryDumpsParseStrictly) {
   const obs::RecoveryTimeline tl = alpha_->LastRecoveryTimeline();
   EXPECT_TRUE(JsonStrict(tl.ToJson()));
   EXPECT_TRUE(JsonStrict(tl.Outage().ToJson()));
-}
-
-// ---------------------------------------------------------------------------
-// MetricsScraper: ring semantics, lifecycle, crash survival.
-
-TEST(ScraperTest, RingWrapsOverwritingOldestAndCountsTotalPushes) {
-  obs::TimeSeriesRing ring(4);
-  EXPECT_EQ(ring.Latest().t_ms, 0.0);
-  for (int i = 0; i < 10; ++i) {
-    ring.Push(i, i * 2.0);
-  }
-  EXPECT_EQ(ring.total_pushed(), 10u);
-  EXPECT_EQ(ring.size(), 4u);
-  auto pts = ring.Samples();
-  ASSERT_EQ(pts.size(), 4u);
-  for (int i = 0; i < 4; ++i) {  // oldest first: 6, 7, 8, 9
-    EXPECT_DOUBLE_EQ(pts[i].t_ms, 6.0 + i);
-    EXPECT_DOUBLE_EQ(pts[i].value, (6.0 + i) * 2);
-  }
-  EXPECT_DOUBLE_EQ(ring.Latest().t_ms, 9.0);
-}
-
-TEST(ScraperTest, ProbesSampleIntoRingsAndWrapAroundIsVisible) {
-  obs::MetricsRegistry reg;
-  obs::Counter* c = reg.GetCounter("test.counter");
-  double now = 0;
-  obs::MetricsScraper::Options o;
-  o.ring_capacity = 8;
-  obs::MetricsScraper s(&reg, [&now] { return now; }, o);
-  s.WatchCounter("test.counter");
-  double probe_value = 0;
-  s.AddProbe("custom.probe", [&probe_value] { return probe_value; });
-  // Re-registering the same names must not create duplicate series.
-  s.WatchCounter("test.counter");
-  s.AddProbe("custom.probe", [] { return -1.0; });
-  EXPECT_EQ(s.SeriesNames().size(), 2u);
-
-  for (int i = 0; i < 20; ++i) {
-    now = i;
-    probe_value = 100.0 + i;
-    c->Add(3);
-    s.SampleNow();
-  }
-  EXPECT_EQ(s.samples_taken(), 20u);
-  std::vector<obs::TimeSeriesRing::Sample> pts;
-  ASSERT_TRUE(s.Series("test.counter", &pts));
-  ASSERT_EQ(pts.size(), 8u);  // capacity, not 20
-  EXPECT_EQ(s.SeriesTotalPushed("test.counter"), 20u);  // wrap is visible
-  EXPECT_DOUBLE_EQ(pts.back().value, 60.0);
-  EXPECT_DOUBLE_EQ(pts.back().t_ms, 19.0);
-  ASSERT_TRUE(s.Series("custom.probe", &pts));
-  EXPECT_DOUBLE_EQ(pts.back().value, 119.0);  // first registration won
-  EXPECT_FALSE(s.Series("no.such", &pts));
-  EXPECT_EQ(s.SeriesTotalPushed("no.such"), 0u);
-
-  std::string prom = s.DumpPrometheus();
-  EXPECT_NE(prom.find("# TYPE msplog_test_counter counter"),
-            std::string::npos);
-  EXPECT_NE(prom.find("msplog_test_counter 60"), std::string::npos);
-  EXPECT_NE(prom.find("msplog_custom_probe 119"), std::string::npos);
-}
-
-TEST(ScraperTest, StartStopAreIdempotentAndRestartable) {
-  obs::MetricsRegistry reg;
-  obs::MetricsScraper::Options o;
-  o.period_ms = 2.0;  // dense: this test wants background samples quickly
-  obs::MetricsScraper s(&reg, [] { return 0.0; }, o);
-  s.AddProbe("p", [] { return 1.0; });
-  EXPECT_FALSE(s.running());
-  s.Start();
-  s.Start();  // no-op, no second thread
-  EXPECT_TRUE(s.running());
-  auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
-  while (s.samples_taken() < 3 &&
-         std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  EXPECT_GE(s.samples_taken(), 3u);
-  s.Stop();
-  s.Stop();  // no-op
-  EXPECT_FALSE(s.running());
-  uint64_t after_stop = s.samples_taken();
-  // Rings are retained across Stop, and Start resumes cleanly.
-  EXPECT_GE(s.SeriesTotalPushed("p"), after_stop);
-  s.Start();
-  deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
-  while (s.samples_taken() <= after_stop &&
-         std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  EXPECT_GT(s.samples_taken(), after_stop);
-  s.Stop();
-}
-
-TEST_F(StatsTest, ScraperRingsSurviveMspCrashRecoveryBoundary) {
-  Build(/*same_domain=*/true);
-  ClientEndpoint client(&env_, &net_, "cli");
-  auto session = client.StartSession("alpha");
-  Bytes reply;
-  ASSERT_TRUE(client.Call(&session, "workload", "a", &reply).ok());
-
-  obs::MetricsScraper& scraper = env_.scraper();
-  scraper.WatchCounter("msp.requests");
-  alpha_->RegisterTelemetryProbes(&scraper);
-  scraper.SampleNow();
-  scraper.SampleNow();
-  uint64_t before = scraper.SeriesTotalPushed("msp.requests");
-  ASSERT_EQ(before, 2u);
-  std::vector<obs::TimeSeriesRing::Sample> pre;
-  ASSERT_TRUE(scraper.Series("msp.requests", &pre));
-
-  // Crash and recover the MSP the probes point at; the scraper (owned by
-  // the environment) keeps sampling across the boundary without losing the
-  // pre-crash points.
-  alpha_->Crash();
-  scraper.SampleNow();  // while crashed
-  ASSERT_TRUE(alpha_->Start().ok());
-  ASSERT_TRUE(client.Call(&session, "workload", "a", &reply).ok());
-  scraper.SampleNow();
-
-  std::vector<obs::TimeSeriesRing::Sample> post;
-  ASSERT_TRUE(scraper.Series("msp.requests", &post));
-  ASSERT_EQ(post.size(), pre.size() + 2);
-  EXPECT_EQ(scraper.SeriesTotalPushed("msp.requests"), before + 2);
-  for (size_t i = 0; i < pre.size(); ++i) {  // old points still there
-    EXPECT_DOUBLE_EQ(post[i].t_ms, pre[i].t_ms);
-    EXPECT_DOUBLE_EQ(post[i].value, pre[i].value);
-  }
-  // The MSP occupancy probes sampled through the crash too.
-  EXPECT_EQ(scraper.SeriesTotalPushed("alpha.sessions"), 4u);
 }
 
 // ---------------------------------------------------------------------------
