@@ -24,9 +24,9 @@
 // depth() is a relaxed atomic counter, so reading it never contends with
 // the request path; ThreadPool's successor wakeup reads it.
 //
-// Sleeping when empty is the CALLER's concern (ThreadPool, Mailbox): this
-// type only provides the non-blocking operations plus the depth counter
-// the callers' eventcount protocols hang off.
+// Sleeping when empty is the caller's concern: ThreadPool and Mailbox park
+// on an EventCount (common/event_count.h). This type only provides the
+// non-blocking operations plus the depth counter.
 #pragma once
 
 #include <atomic>

@@ -1,7 +1,6 @@
 #include "audit/mutex.h"
 #include "msp/msp.h"
 
-#include <algorithm>
 #include <cassert>
 #include <chrono>
 #include <thread>
@@ -72,12 +71,6 @@ void Msp::ChargeCpu(double model_ms) {
 
 bool Msp::IntraDomain(const std::string& other) const {
   return directory_->SameDomain(config_.id, other);
-}
-
-int64_t Msp::RealWaitMs(double model_ms) const {
-  if (env_->time_scale() <= 0.0) return SimEnvironment::kFastWaitFloorMs;
-  return std::max<int64_t>(
-      1, static_cast<int64_t>(model_ms * env_->time_scale()));
 }
 
 std::shared_ptr<Session> Msp::GetSession(const std::string& id) const {
@@ -917,9 +910,7 @@ Status Msp::CallRoundTrip(const std::string& dest, const Message& req,
       // right after a timed-out wait, racing unlocked reads of done/reply.
       audit::UniqueLock lk(pc->mu);
       got = pc->cv.wait_for(
-          lk,
-          std::chrono::milliseconds(RealWaitMs(config_.call_resend_timeout_ms)),
-          [&] {
+          lk, env_->RealTimeout(config_.call_resend_timeout_ms), [&] {
             pc->mu.AssertHeld();
             return pc->done || pc->failed;
           });
@@ -1140,12 +1131,10 @@ Status Msp::DistributedFlushImpl(const DependencyVector& dv,
     bool fatal;
     {
       audit::UniqueLock lk(call->mu);
-      call->cv.wait_for(
-          lk, std::chrono::milliseconds(RealWaitMs(config_.flush_timeout_ms)),
-          [&] {
-            call->mu.AssertHeld();
-            return call->unsettled == 0 || call->fatal;
-          });
+      call->cv.wait_for(lk, env_->RealTimeout(config_.flush_timeout_ms), [&] {
+        call->mu.AssertHeld();
+        return call->unsettled == 0 || call->fatal;
+      });
       all_settled = call->unsettled == 0;
       fatal = call->fatal;
     }

@@ -334,7 +334,6 @@ class Msp {
   /// config.single_core_cpu is set.
   void ChargeCpu(double model_ms);
   bool IntraDomain(const std::string& other) const;
-  int64_t RealWaitMs(double model_ms) const;
   std::shared_ptr<Session> GetSession(const std::string& id) const;
 
   SimEnvironment* env_;

@@ -250,13 +250,10 @@ constexpr double kCheckpointDaemonIntervalMs = 250.0;
 void Msp::CheckpointDaemonLoop() {
   audit::UniqueLock lk(cp_mu_);
   while (!cp_stop_) {
-    cp_cv_.wait_for(lk,
-                    std::chrono::milliseconds(
-                        RealWaitMs(kCheckpointDaemonIntervalMs)),
-                    [&] {
-                      cp_mu_.AssertHeld();
-                      return cp_stop_;
-                    });
+    cp_cv_.wait_for(lk, env_->RealTimeout(kCheckpointDaemonIntervalMs), [&] {
+      cp_mu_.AssertHeld();
+      return cp_stop_;
+    });
     if (cp_stop_) break;
     lk.unlock();
     if (config_.msp_checkpoint_log_bytes > 0 && log_ &&

@@ -6,11 +6,8 @@
 //
 // Hot-path shape: Submit pushes a move-only, small-buffer-optimized Task
 // onto a lock-free MPSC ring (common/mpsc_queue.h) — no mutex, no heap
-// allocation for the dispatcher's lambdas. A worker calls TryPop once; when
-// the queue looks empty it registers in an eventcount (sleepers_ counter +
-// condvar), polls once more under the mutex and parks. Producers pay a
-// fence plus one relaxed load to detect sleepers, and take the mutex only
-// to wake one.
+// allocation for the dispatcher's lambdas. Idle workers park on an
+// EventCount (common/event_count.h).
 //
 // Wake rule: one wakeup per task, plus a successor wakeup. Submit notifies
 // one parked worker, not all of them. A worker that takes a task while the
@@ -21,19 +18,18 @@
 // worker that parks again; the worker that later takes the head task passes
 // the wakeup on. Shutdown and Abort still wake every worker.
 //
-// Known (accepted) semantic difference from the old mutex design: Submit
-// and Shutdown are no longer atomic with respect to each other — a task
+// Submit and Shutdown are not atomic with respect to each other: a task
 // pushed concurrently with Shutdown may be popped-and-run or may be left
-// behind in the queue (it is destroyed, not run, when the pool dies). Every
-// in-tree caller stops its producers (dispatch loop, timers) before
-// shutting the pool down, so no task is lost in practice.
+// behind in the queue (it is destroyed, not run, when the pool dies). So
+// callers stop their producers (dispatch loop, timers) before shutting the
+// pool down, as every in-tree caller does.
 #pragma once
 
 #include <atomic>
 #include <thread>
 #include <vector>
 
-#include "audit/mutex.h"
+#include "common/event_count.h"
 #include "common/mpsc_queue.h"
 #include "common/task.h"
 
@@ -61,17 +57,16 @@ class ThreadPool {
 
   size_t num_threads() const { return workers_.size(); }
 
+  /// Idle waits that a lost wakeup left to the re-poll bound (EventCount).
+  uint64_t repoll_rescues() const { return idle_.rescues(); }
+
  private:
   void WorkerLoop();
 
   MpscQueue<Task> queue_;
   std::atomic<bool> stop_{false};
   std::atomic<bool> discard_{false};
-  /// Eventcount: number of workers inside the sleep protocol. Producers
-  /// only touch mu_/cv_ when this is nonzero.
-  std::atomic<int> sleepers_{0};
-  mutable audit::Mutex mu_{"thread_pool"};
-  audit::CondVar cv_;
+  EventCount idle_{"thread_pool"};
   /// Written only while spawning (constructor) and joining (Shutdown/Abort,
   /// serialized by stop_); sized concurrently by num_threads().
   std::vector<std::thread> workers_;

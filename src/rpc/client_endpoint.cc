@@ -1,19 +1,6 @@
 #include "rpc/client_endpoint.h"
 
-#include <algorithm>
-
 namespace msplog {
-
-namespace {
-/// Convert a model-time wait to a real wait for condition/timeout purposes.
-/// With scale 0 latency is off; a small real floor keeps loops cool without
-/// slowing tests meaningfully.
-int64_t RealWaitMs(const SimEnvironment* env, double model_ms) {
-  if (env->time_scale() <= 0.0) return SimEnvironment::kFastWaitFloorMs;
-  return std::max<int64_t>(1,
-      static_cast<int64_t>(model_ms * env->time_scale()));
-}
-}  // namespace
 
 ClientEndpoint::ClientEndpoint(SimEnvironment* env, SimNetwork* network,
                                std::string name, ClientOptions options)
@@ -82,22 +69,13 @@ Status ClientEndpoint::Call(ClientSession* session, const std::string& method,
     network_->Send(name_, session->msp, wire);
     ++local.sends;
 
-    // Wait for the matching reply, ignoring duplicates and stale replies.
-    int64_t budget_real_ms = RealWaitMs(env_, options_.resend_timeout_ms);
-    auto deadline = std::chrono::steady_clock::now() +
-                    std::chrono::milliseconds(budget_real_ms);
-    while (true) {
-      auto now = std::chrono::steady_clock::now();
-      if (now >= deadline) break;  // resend
-      int64_t remain = std::chrono::duration_cast<std::chrono::milliseconds>(
-                           deadline - now).count();
-      Packet p;
-      if (!mailbox_->PopWithTimeout(&p, std::max<int64_t>(1, remain))) {
-        if (mailbox_->closed()) {
-          return finish(Status::Crashed("client endpoint closed"));
-        }
-        continue;
-      }
+    // Wait for the matching reply until this send's resend deadline.
+    const std::chrono::nanoseconds timeout =
+        env_->RealTimeout(options_.resend_timeout_ms);
+    const uint64_t deadline =
+        env_->ElapsedRealNs() + static_cast<uint64_t>(timeout.count());
+    Packet p;
+    while (mailbox_->PopUntil(&p, deadline)) {
       Message m;
       Status st = Message::Decode(p.wire, &m);
       if (!st.ok()) continue;  // garbage on the wire: drop
@@ -109,7 +87,7 @@ Status ClientEndpoint::Call(ClientSession* session, const std::string& method,
         // Server is checkpointing or recovering: back off, then resend.
         ++local.busy_replies;
         env_->SleepModelMs(options_.busy_backoff_ms);
-        goto resend;
+        break;
       }
       session->next_seqno = seqno + 1;
       *reply = std::move(m.payload);
@@ -117,7 +95,9 @@ Status ClientEndpoint::Call(ClientSession* session, const std::string& method,
                         ? Status::OK()
                         : Status::Aborted("application error: " + *reply));
     }
-  resend:;
+    if (mailbox_->closed()) {
+      return finish(Status::Crashed("client endpoint closed"));
+    }
   }
   return finish(Status::TimedOut("no reply after " +
                                  std::to_string(local.sends) + " sends"));

@@ -19,10 +19,13 @@
 // messages in flight overlap with each other and with the receiver's work.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <string>
 
+#include "common/event_count.h"
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -111,26 +114,18 @@ class SimEnvironment {
   /// model-time deadline, such as a message's arrival. Linux only.
   static void UseFineTimerSlack();
 
-  /// True when TSan/ASan instruments this build: everything runs ~10-20x
-  /// slower, so real-time accuracy is not to be expected.
-  static constexpr bool kSanitized =
-#if defined(__SANITIZE_THREAD__) || defined(__SANITIZE_ADDRESS__)
-      true;
-#elif defined(__has_feature)
-#if __has_feature(thread_sanitizer) || __has_feature(address_sanitizer)
-      true;
-#else
-      false;
-#endif
-#else
-      false;
-#endif
+  /// msplog::kSanitized: real-time accuracy is not to be expected.
+  static constexpr bool kSanitized = ::msplog::kSanitized;
 
-  /// Wall-clock floor (ms) for lost-message timeouts when time_scale is 0
-  /// ("as fast as possible"). The floor must outlast a healthy peer's
-  /// round trip, or resends fire spuriously and corrupt exact-count
-  /// expectations; sanitized builds get a proportionally larger floor.
-  static constexpr int64_t kFastWaitFloorMs = kSanitized ? 40 : 2;
+  /// The real wait for a model-time timeout (a lost message, a daemon's
+  /// interval): `model_ms` x scale, at least 1 ms. At scale 0 ("as fast as
+  /// possible") a floor that must outlast a healthy peer's round trip, or
+  /// resends fire spuriously and corrupt exact-count expectations.
+  std::chrono::milliseconds RealTimeout(double model_ms) const {
+    if (time_scale_ <= 0.0) return std::chrono::milliseconds(kFastWaitFloorMs);
+    return std::chrono::milliseconds(
+        std::max<int64_t>(1, static_cast<int64_t>(model_ms * time_scale_)));
+  }
 
   SimStats& stats() { return stats_; }
   const SimStats& stats() const { return stats_; }
@@ -155,6 +150,9 @@ class SimEnvironment {
   }
 
  private:
+  /// RealTimeout's floor; sanitized builds get a proportionally larger one.
+  static constexpr int64_t kFastWaitFloorMs = kSanitized ? 40 : 2;
+
   double time_scale_;
   uint64_t start_ns_;
   SimStats stats_;

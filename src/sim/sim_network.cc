@@ -1,4 +1,3 @@
-#include "audit/mutex.h"
 #include "sim/sim_network.h"
 
 #include <algorithm>
@@ -6,26 +5,14 @@
 
 namespace msplog {
 
-namespace {
-// Idle-consumer re-poll bound. The eventcount protocol (sleepers_ counter
-// + Push's seq_cst fence) already rules out lost wakeups; the timed
-// re-poll is liveness insurance on top.
-constexpr uint64_t kMailboxRepollNs = 50'000'000;  // 50 ms
-}  // namespace
-
-bool Mailbox::Pop(Packet* out) { return PopWithin(out, -1); }
-
-bool Mailbox::PopWithTimeout(Packet* out, int64_t timeout_real_ms) {
-  return PopWithin(out, std::max<int64_t>(0, timeout_real_ms) * 1'000'000);
-}
-
-bool Mailbox::PopWithin(Packet* out, int64_t timeout_ns) {
-  uint64_t deadline = kNever;  // fixed at the first clock read
+bool Mailbox::PopUntil(Packet* out, uint64_t deadline_real_ns) {
+  Timed t;
+  bool parked_pop = false;  // the last Park took `t` in
   for (;;) {
     // Take in what senders queued. A packet due when sent goes straight
     // out unless earlier packets are pending: no heap, no clock read.
-    Timed t;
-    while (queue_.TryPop(&t)) {
+    while (parked_pop || queue_.TryPop(&t)) {
+      parked_pop = false;
       if (t.due_real_ns == 0 && pending_.empty()) {
         *out = std::move(t.packet);
         return true;
@@ -36,13 +23,11 @@ bool Mailbox::PopWithin(Packet* out, int64_t timeout_ns) {
       pending_.clear();  // dead host: packets in flight are lost
       return false;
     }
-    uint64_t now = 0;
-    uint64_t wake = kNever;
-    if (!pending_.empty() || timeout_ns >= 0) {
-      now = env_->ElapsedRealNs();
-      if (deadline == kNever && timeout_ns >= 0) {
-        deadline = now + static_cast<uint64_t>(timeout_ns);
-      }
+    // Park until a packet arrives, one is due or the deadline passes.
+    auto max_wait = EventCount::kForever;
+    if (!pending_.empty() || deadline_real_ns != kNever) {
+      const uint64_t now = env_->ElapsedRealNs();
+      uint64_t wake = deadline_real_ns;
       if (!pending_.empty()) {
         if (pending_.front().due_real_ns <= now) {
           std::pop_heap(pending_.begin(), pending_.end(), Later());
@@ -50,26 +35,18 @@ bool Mailbox::PopWithin(Packet* out, int64_t timeout_ns) {
           pending_.pop_back();
           return true;
         }
-        wake = pending_.front().due_real_ns;
+        wake = std::min(wake, pending_.front().due_real_ns);
       }
-      if (now >= deadline) return false;
-      wake = std::min(wake, deadline);
+      if (now >= deadline_real_ns) return false;
+      SimEnvironment::UseFineTimerSlack();
+      max_wait = std::chrono::nanoseconds(wake - now);
     }
-
-    // Sleep until `wake` or until a sender queues a packet.
-    audit::UniqueLock lk(mu_);
-    sleepers_.fetch_add(1, std::memory_order_seq_cst);
-    if (queue_.TryPop(&t)) {
-      Hold(std::move(t));
-    } else if (!closed()) {
-      uint64_t wait_ns = kMailboxRepollNs;
-      if (wake != kNever) {
-        SimEnvironment::UseFineTimerSlack();
-        wait_ns = std::min(wait_ns, wake - now);
-      }
-      cv_.wait_for(lk, std::chrono::nanoseconds(wait_ns));
-    }
-    sleepers_.fetch_sub(1, std::memory_order_relaxed);
+    idle_.Park(
+        [&] {
+          parked_pop = queue_.TryPop(&t);
+          return parked_pop || closed();
+        },
+        max_wait);
   }
 }
 
@@ -82,14 +59,7 @@ void Mailbox::Hold(Timed t) {
 void Mailbox::Push(Packet p, uint64_t due_real_ns) {
   if (closed()) return;  // dead host: drop
   queue_.Push(Timed{due_real_ns, 0, std::move(p)});
-  // Publish-then-check (Dekker): pairs with the consumer registering in
-  // sleepers_ before its re-poll — either it sees our packet or we see it
-  // sleeping and wake it, to take the packet in and sleep until it is due.
-  std::atomic_thread_fence(std::memory_order_seq_cst);
-  if (sleepers_.load(std::memory_order_relaxed) > 0) {
-    audit::LockGuard lk(mu_);
-    cv_.notify_all();
-  }
+  idle_.NotifyOne();
 }
 
 void Mailbox::Close() {
@@ -102,8 +72,7 @@ void Mailbox::Close() {
   Timed dropped;
   while (queue_.TryPop(&dropped)) {
   }
-  audit::LockGuard lk(mu_);
-  cv_.notify_all();
+  idle_.NotifyAll();
 }
 
 SimNetwork::SimNetwork(SimEnvironment* env, uint64_t seed)

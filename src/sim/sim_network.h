@@ -23,6 +23,7 @@
 
 #include "audit/mutex.h"
 #include "common/bytes.h"
+#include "common/event_count.h"
 #include "common/mpsc_queue.h"
 #include "common/rng.h"
 #include "common/status.h"
@@ -42,8 +43,7 @@ struct Packet {
 ///
 /// One consumer: every endpoint has a single receiving thread (an MSP's
 /// dispatch loop, a client's Call, the state server's loop), and only that
-/// thread calls Pop / PopWithTimeout. Push and Close may come from any
-/// thread.
+/// thread calls Pop / PopUntil. Push and Close may come from any thread.
 ///
 /// Hot-path shape: Push lands on a lock-free MPSC ring, so handing a packet
 /// to an endpoint never contends with the consumer. Each packet carries its
@@ -52,25 +52,25 @@ struct Packet {
 /// due, with its timer slack at the minimum: once a delayed packet is due,
 /// delivering it costs one wakeup, the receiver's own, on time. A packet
 /// due when sent (time_scale 0) skips the heap and the clock read. The
-/// consumer parks on an eventcount-style sleep; producers pay a fence +
-/// relaxed load to detect a sleeping consumer and wake it to take the
-/// packet in.
+/// consumer parks on an EventCount (common/event_count.h).
 class Mailbox {
  public:
   explicit Mailbox(SimEnvironment* env) : env_(env) {}
 
-  /// Blocks until a packet is due or the mailbox closes.
-  /// Returns false when closed.
-  bool Pop(Packet* out);
-
-  /// Blocks up to `timeout_real_ms`; returns false on timeout or close.
-  bool PopWithTimeout(Packet* out, int64_t timeout_real_ms);
+  /// Blocks until a packet is due (true), the mailbox closes or
+  /// `deadline_real_ns` (SimEnvironment::ElapsedRealNs clock) passes. Pop
+  /// waits without a deadline.
+  bool PopUntil(Packet* out, uint64_t deadline_real_ns);
+  bool Pop(Packet* out) { return PopUntil(out, kNever); }
 
   /// Queues `p` for delivery at `due_real_ns` (SimEnvironment::ElapsedRealNs
   /// clock); 0 means due now. Dropped when the mailbox is closed.
   void Push(Packet p, uint64_t due_real_ns);
   void Close();
   bool closed() const { return closed_.load(std::memory_order_acquire); }
+
+  /// Waits that a lost wakeup left to the re-poll bound (EventCount).
+  uint64_t repoll_rescues() const { return idle_.rescues(); }
 
  private:
   struct Timed {
@@ -87,22 +87,17 @@ class Mailbox {
   };
   static constexpr uint64_t kNever = UINT64_MAX;
 
-  /// Consumer side of Pop / PopWithTimeout; a negative `timeout_ns` waits
-  /// without a deadline.
-  bool PopWithin(Packet* out, int64_t timeout_ns);
   /// Consumer only: keeps `t` in the heap until it is due.
   void Hold(Timed t);
 
   SimEnvironment* env_;
   MpscQueue<Timed> queue_{256, "mailbox.overflow"};
   std::atomic<bool> closed_{false};
-  std::atomic<int> sleepers_{0};
-  mutable audit::Mutex mu_{"mailbox"};
-  audit::CondVar cv_;
+  EventCount idle_{"mailbox"};
   /// Packets not yet due, as a heap on Later. Touched only by the single
   /// consumer thread, so no lock.
-  std::vector<Timed> pending_;  // audit:allow(guarded-by): consumer only
-  uint64_t next_seq_ = 0;       // audit:allow(guarded-by): consumer only
+  std::vector<Timed> pending_;
+  uint64_t next_seq_ = 0;
 };
 
 /// Probabilistic fault injection for a link (directed).

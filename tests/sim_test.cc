@@ -43,6 +43,24 @@ TEST(SimEnvTest, ModelClockDividesByScale) {
   EXPECT_LT(now, 40.0);
 }
 
+// Every model-time timeout converts in one place; this table pins that none
+// changed value.
+TEST(SimEnvTest, RealTimeoutScalesModelMsAboveAFloor) {
+  struct Case {
+    double scale;
+    double model_ms;
+    int64_t real_ms;
+  };
+  const int64_t floor_ms = SimEnvironment::kSanitized ? 40 : 2;
+  for (const Case& c : {Case{0.0, 400.0, floor_ms}, Case{0.0, 10.0, floor_ms},
+                        Case{0.05, 400.0, 20}, Case{0.02, 250.0, 5},
+                        Case{0.02, 10.0, 1}}) {
+    EXPECT_EQ(SimEnvironment(c.scale).RealTimeout(c.model_ms).count(),
+              c.real_ms)
+        << c.model_ms << " model ms at scale " << c.scale;
+  }
+}
+
 TEST(DiskGeometryTest, PaperFlushFormula) {
   DiskGeometry g;  // paper defaults: 7200 RPM, 63 sectors/track, tts 1.2 ms
   // TF2 = 60000/7200/2 + 2/63*60000/7200 + 2/63*1.2 ≈ 4.47 ms (§5.2).
@@ -126,13 +144,18 @@ TEST(SimDiskTest, LatencyChargedWhenScaled) {
   EXPECT_GE(dt, 150'000u);
 }
 
+// A PopUntil deadline `ms` of real time from now.
+uint64_t InRealMs(const SimEnvironment& env, uint64_t ms) {
+  return env.ElapsedRealNs() + ms * 1'000'000;
+}
+
 TEST(SimNetworkTest, DeliversImmediatelyAtZeroScale) {
   SimEnvironment env(0.0);
   SimNetwork net(&env);
   auto mb = net.Register("b");
   net.Send("a", "b", "payload");
   Packet p;
-  ASSERT_TRUE(mb->PopWithTimeout(&p, 1000));
+  ASSERT_TRUE(mb->PopUntil(&p, InRealMs(env, 1000)));
   EXPECT_EQ(p.from, "a");
   EXPECT_EQ(p.wire, "payload");
   net.Shutdown();
@@ -145,7 +168,7 @@ TEST(SimNetworkTest, UnregisteredDestinationDropsPacket) {
   net.Unregister("b");
   net.Send("a", "b", "x");
   Packet p;
-  EXPECT_FALSE(mb->PopWithTimeout(&p, 50));
+  EXPECT_FALSE(mb->PopUntil(&p, InRealMs(env, 50)));
   net.Shutdown();
 }
 
@@ -158,7 +181,7 @@ TEST(SimNetworkTest, DropFaultLosesMessages) {
   net.SetFaults("a", "b", plan);
   for (int i = 0; i < 10; ++i) net.Send("a", "b", "x");
   Packet p;
-  EXPECT_FALSE(mb->PopWithTimeout(&p, 50));
+  EXPECT_FALSE(mb->PopUntil(&p, InRealMs(env, 50)));
   EXPECT_EQ(env.stats().messages_dropped.load(), 10u);
   net.Shutdown();
 }
@@ -172,8 +195,8 @@ TEST(SimNetworkTest, DuplicateFaultDoublesDelivery) {
   net.SetFaults("a", "b", plan);
   net.Send("a", "b", "x");
   Packet p;
-  ASSERT_TRUE(mb->PopWithTimeout(&p, 1000));
-  ASSERT_TRUE(mb->PopWithTimeout(&p, 1000));
+  ASSERT_TRUE(mb->PopUntil(&p, InRealMs(env, 1000)));
+  ASSERT_TRUE(mb->PopUntil(&p, InRealMs(env, 1000)));
   net.Shutdown();
 }
 
@@ -184,8 +207,8 @@ TEST(SimNetworkTest, ScaledLatencyDelaysDelivery) {
   auto mb = net.Register("b");
   net.Send("a", "b", "x");
   Packet p;
-  EXPECT_FALSE(mb->PopWithTimeout(&p, 0));  // not yet
-  ASSERT_TRUE(mb->PopWithTimeout(&p, 1000));
+  EXPECT_FALSE(mb->PopUntil(&p, env.ElapsedRealNs()));  // not yet
+  ASSERT_TRUE(mb->PopUntil(&p, InRealMs(env, 1000)));
   net.Shutdown();
 }
 
@@ -214,7 +237,7 @@ TEST_P(SimNetworkFifoTest, FifoWithoutJitter) {
   }
   for (int i = 0; i < 100; ++i) {
     Packet p;
-    ASSERT_TRUE(mb->PopWithTimeout(&p, 1000));
+    ASSERT_TRUE(mb->PopUntil(&p, InRealMs(env, 1000)));
     EXPECT_EQ(p.wire[0], static_cast<char>(i));
   }
   net.Shutdown();
@@ -301,7 +324,7 @@ TEST(SimNetworkTest, JitterDeliversInArrivalOrder) {
   std::this_thread::sleep_for(std::chrono::milliseconds(5));
   std::vector<int> order;
   Packet p;
-  while (order.size() < kPackets && mb->PopWithTimeout(&p, 1000)) {
+  while (order.size() < kPackets && mb->PopUntil(&p, InRealMs(env, 1000))) {
     order.push_back(p.wire[0]);
   }
   ASSERT_EQ(order.size(), static_cast<size_t>(kPackets));
@@ -352,7 +375,7 @@ TEST(SimNetworkTest, UnregisterLosesDelayedPacketAndWakesReceiver) {
   net.Unregister("b");
   auto reborn = net.Register("b");
   Packet p;
-  EXPECT_FALSE(reborn->PopWithTimeout(&p, 250));
+  EXPECT_FALSE(reborn->PopUntil(&p, InRealMs(env, 250)));
   net.Shutdown();
 }
 
