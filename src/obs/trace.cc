@@ -2,6 +2,7 @@
 #include "obs/trace.h"
 
 #include <algorithm>
+#include <limits>
 #include <map>
 #include <thread>
 
@@ -85,7 +86,6 @@ void EventTracer::Record(TraceEventType type, double model_ms,
   TraceEvent e;
   e.type = type;
   e.model_ms = model_ms;
-  e.seq = seq_.fetch_add(1, std::memory_order_relaxed);
   e.seqno = seqno;
   e.actor = std::move(actor);
   e.session = std::move(session);
@@ -98,6 +98,7 @@ void EventTracer::Record(TraceEventType type, double model_ms,
   bool overwrote = false;
   {
     audit::LockGuard lk(st.mu);
+    e.seq = seq_.fetch_add(1, std::memory_order_relaxed);
     st.total++;
     if (st.ring.size() < per_stripe_) {
       st.ring.push_back(std::move(e));
@@ -110,17 +111,37 @@ void EventTracer::Record(TraceEventType type, double model_ms,
   if (overwrote && drop_counter_) drop_counter_->Add(1);
 }
 
-std::vector<TraceEvent> EventTracer::Events() const {
+std::vector<TraceEvent> EventTracer::Newest(size_t n) const {
+  // Exact without a sort: each stripe holds its events in seq order, so the
+  // newest n overall are among each stripe's newest n. Copy only those, one
+  // stripe lock at a time, and merge each stripe's run into the result.
   std::vector<TraceEvent> out;
+  out.reserve(stripes_.size() * std::min(n, per_stripe_));
   for (const auto& sp : stripes_) {
-    audit::LockGuard lk(sp->mu);
-    out.insert(out.end(), sp->ring.begin(), sp->ring.end());
+    const size_t merged = out.size();
+    {
+      audit::LockGuard lk(sp->mu);
+      const size_t size = sp->ring.size();
+      // Ring order starts at next: the oldest event once the ring has
+      // wrapped, and 0 until then.
+      for (size_t i = size - std::min(n, size); i < size; ++i) {
+        out.push_back(sp->ring[(sp->next + i) % size]);
+      }
+    }
+    std::inplace_merge(out.begin(),
+                       out.begin() + static_cast<ptrdiff_t>(merged), out.end(),
+                       [](const TraceEvent& a, const TraceEvent& b) {
+                         return a.seq < b.seq;
+                       });
   }
-  std::sort(out.begin(), out.end(),
-            [](const TraceEvent& a, const TraceEvent& b) {
-              return a.seq < b.seq;
-            });
+  if (out.size() > n) {
+    out.erase(out.begin(), out.end() - static_cast<ptrdiff_t>(n));
+  }
   return out;
+}
+
+std::vector<TraceEvent> EventTracer::Events() const {
+  return Newest(std::numeric_limits<size_t>::max());
 }
 
 uint64_t EventTracer::dropped() const {
@@ -142,11 +163,8 @@ void EventTracer::Clear() {
 }
 
 std::string EventTracer::DumpJson(size_t max_events) const {
-  std::vector<TraceEvent> events = Events();
-  if (max_events > 0 && events.size() > max_events) {
-    events.erase(events.begin(),
-                 events.end() - static_cast<ptrdiff_t>(max_events));
-  }
+  const std::vector<TraceEvent> events =
+      max_events > 0 ? Newest(max_events) : Events();
   JsonArray out;
   for (const TraceEvent& e : events) {
     Json o;

@@ -14,6 +14,12 @@
 // Overwrites are counted (dropped()) and mirrored into an optional Counter
 // so truncated traces are detectable.
 //
+// Reading: Record stamps the global seq under the stripe lock, so every
+// stripe holds its events in seq order. Events() and DumpJson() share one
+// reader that copies each stripe's newest n events and merges the runs by
+// seq; a bundle's tail of 256 events therefore costs O(stripes x 256),
+// whatever the ring holds.
+//
 // Causal tracing: events may carry a SpanContext — a (trace_id, span_id,
 // parent_span_id) triple propagated on the wire (rpc/message.h) from the
 // client endpoint through every nested MSP→MSP call. The obs layer never
@@ -91,7 +97,8 @@ uint64_t NextSpanId();
 struct TraceEvent {
   TraceEventType type = TraceEventType::kEnqueue;
   double model_ms = 0;   ///< SimEnvironment::NowModelMs at record time
-  uint64_t seq = 0;      ///< global record order (total order across threads)
+  uint64_t seq = 0;      ///< global record order, stamped under the stripe
+                         ///< lock: each stripe's ring is in seq order
   uint64_t seqno = 0;    ///< request sequence number (0 = not applicable)
   std::string actor;     ///< component id: MSP id, "<id>.log", client name
   std::string session;   ///< session id ("" = not applicable)
@@ -126,6 +133,9 @@ class EventTracer {
   std::string DumpChromeTracing() const;
 
  private:
+  /// The newest `n` retained events in seq order.
+  std::vector<TraceEvent> Newest(size_t n) const;
+
   struct Stripe {
     /// A class's own constructor is exempt from the analysis, so the
     /// capacity reservation lives here rather than in EventTracer's ctor.

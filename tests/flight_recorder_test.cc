@@ -14,6 +14,7 @@
 #include <chrono>
 #include <fstream>
 #include <thread>
+#include <vector>
 
 #include "audit/invariants.h"
 #include "harness/paper_workload.h"
@@ -166,6 +167,48 @@ TEST(FlightRecorderIntegrationTest, InvariantViolationFreezesServerState) {
             std::string::npos);
   EXPECT_TRUE(JsonStrict(b.ToJson()));
   audit::InvariantRegistry::Instance().ResetForTest();
+  w.Shutdown();
+}
+
+// A real crash freezes exactly the newest 256 events of a multi-stripe ring
+// that many threads recorded into: with nothing dropped, their seqs are
+// consecutive and end at the newest event.
+TEST(FlightRecorderIntegrationTest, CrashBundleHoldsTheNewest256Events) {
+  PaperWorkloadOptions opts;
+  opts.config = PaperConfig::kLoOptimistic;
+  opts.time_scale = 0.0;
+  opts.checkpoint_daemon = false;  // no recorder runs between requests
+  PaperWorkload w(opts);
+  ASSERT_TRUE(w.Start().ok());
+  const obs::EventTracer& tracer = w.env()->tracer();
+  auto client = w.MakeClient("client1");
+  auto session = client->StartSession("msp1");
+  Bytes reply;
+  while (tracer.Events().size() < 2 * 256) {
+    ASSERT_TRUE(
+        client->Call(&session, "ServiceMethod1", MakePayload(100, 1), &reply)
+            .ok());
+  }
+  // A server records ReplySent after the send, so wait until the ring has
+  // stopped growing: no thread may record during the freeze.
+  size_t seen = 0;
+  for (int poll = 0; poll < 500 && tracer.Events().size() != seen; ++poll) {
+    seen = tracer.Events().size();
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  ASSERT_EQ(tracer.dropped(), 0u);
+  const uint64_t newest = tracer.Events().back().seq;
+
+  w.msp1()->Crash();
+  const obs::FlightBundle b = w.env()->flight_recorder().LatestBundleFor("msp1");
+  ASSERT_TRUE(b.frozen);
+  EXPECT_TRUE(JsonStrict(b.tracer_tail_json));
+  const std::vector<uint64_t> seqs = DumpedSeqs(b.tracer_tail_json);
+  ASSERT_EQ(seqs.size(), 256u);
+  EXPECT_EQ(seqs.back(), newest);
+  for (size_t i = 1; i < seqs.size(); ++i) {
+    ASSERT_EQ(seqs[i], seqs[i - 1] + 1) << "event " << i;
+  }
   w.Shutdown();
 }
 

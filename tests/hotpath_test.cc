@@ -217,6 +217,86 @@ TEST(ThreadPoolHotPathTest, ConcurrentProducersEachWakeAParkedWorker) {
                                        << " ms";
 }
 
+// The ring's blind spot, held open on a quiet host with no hook in the pool
+// or the queue. Submit relocates a Task's inline capture three times: into
+// the Task, into Push's by-value parameter, and into the ring cell, between
+// the producer's claim of the cell and its publish. A capture whose move
+// blocks on its third move holds producer P1 in that window. Task B is then
+// published behind the held cell, and its wakeup is spent on a worker that
+// finds the head cell unpublished and parks again. Released, P1 publishes
+// task A and wakes one worker; A waits for B, so only the successor wakeup
+// gets B a worker without waiting out the re-poll bound.
+TEST(ThreadPoolHotPathTest, ProducerHeldBetweenClaimAndPublishLosesNoWakeup) {
+  struct Gate {
+    std::mutex mu;
+    std::condition_variable cv;
+    bool held = false;     // P1 is between claim and publish
+    bool release = false;  // P1 may publish
+    bool b_ran = false;
+    bool a_done = false;
+  };
+  struct HoldOnThirdMove {
+    Gate* gate;
+    int moves = 0;
+    explicit HoldOnThirdMove(Gate* g) : gate(g) {}
+    HoldOnThirdMove(HoldOnThirdMove&& o) noexcept
+        : gate(o.gate), moves(o.moves + 1) {
+      if (moves != 3) return;
+      std::unique_lock<std::mutex> lk(gate->mu);
+      gate->held = true;
+      gate->cv.notify_all();
+      gate->cv.wait(lk, [this] { return gate->release; });
+    }
+    void operator()() {  // task A
+      std::unique_lock<std::mutex> lk(gate->mu);
+      gate->cv.wait_for(lk, std::chrono::seconds(10),
+                        [this] { return gate->b_ran; });
+      gate->a_done = true;
+      gate->cv.notify_all();
+    }
+  };
+  Gate gate;
+  ThreadPool pool(2);  // declared after gate: joins its workers first
+  for (int round = 1; round <= 20; ++round) {
+    {
+      std::lock_guard<std::mutex> lk(gate.mu);
+      gate.held = gate.release = gate.b_ran = gate.a_done = false;
+    }
+    std::thread p1([&] { pool.Submit(HoldOnThirdMove(&gate)); });
+    bool held = false;
+    {
+      std::unique_lock<std::mutex> lk(gate.mu);
+      held = gate.cv.wait_for(lk, std::chrono::seconds(20),
+                              [&] { return gate.held; });
+    }
+    if (!held) {  // Task no longer relocates an inline capture three times
+      p1.join();
+      FAIL() << "no third move held the producer";
+    }
+    pool.Submit([&gate] {  // task B
+      std::lock_guard<std::mutex> lk(gate.mu);
+      gate.b_ran = true;
+      gate.cv.notify_all();
+    });
+    // Time for B's wakeup to find the head cell unpublished. Only the
+    // mutant's detection depends on it: the pool must rescue nothing
+    // whatever the timing.
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    {
+      std::lock_guard<std::mutex> lk(gate.mu);
+      gate.release = true;
+      gate.cv.notify_all();
+    }
+    p1.join();
+    std::unique_lock<std::mutex> lk(gate.mu);
+    ASSERT_TRUE(gate.cv.wait_for(lk, std::chrono::seconds(20),
+                                 [&] { return gate.a_done; }))
+        << "round " << round;
+    ASSERT_TRUE(gate.b_ran) << "round " << round;
+  }
+  EXPECT_EQ(pool.repoll_rescues(), 0u) << "of 20 rounds";
+}
+
 // ---------------------------------------------------------------------------
 // EventCount, and the Mailbox receiver that parks on one
 // ---------------------------------------------------------------------------

@@ -7,7 +7,10 @@
 #include <gtest/gtest.h>
 
 #include <cctype>
+#include <cstdint>
+#include <cstdlib>
 #include <string>
+#include <vector>
 
 namespace msplog {
 namespace json_strict {
@@ -143,6 +146,17 @@ inline ::testing::AssertionResult JsonStrict(const std::string& s) {
            << "trailing garbage at offset " << end << ": " << s.substr(end);
   }
   return ::testing::AssertionSuccess();
+}
+
+/// The "seq" of every event in an EventTracer::DumpJson() array, in order.
+inline std::vector<uint64_t> DumpedSeqs(const std::string& json) {
+  std::vector<uint64_t> out;
+  const std::string key = "\"seq\":";
+  for (size_t at = json.find(key); at != std::string::npos;
+       at = json.find(key, at + 1)) {
+    out.push_back(std::strtoull(json.c_str() + at + key.size(), nullptr, 10));
+  }
+  return out;
 }
 
 }  // namespace msplog

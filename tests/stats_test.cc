@@ -4,8 +4,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
+#include <functional>
 #include <limits>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -351,7 +354,7 @@ TEST_F(StatsTest, TracerRecordsExactLifecycleForOneRequest) {
         << "event " << i << " is " << obs::TraceEventTypeName(got[i].type);
   }
   // Model time is non-decreasing along the chain and seq is strictly
-  // increasing (Events() sorts by seq).
+  // increasing (Events() is in seq order).
   for (size_t i = 1; i < got.size(); ++i) {
     EXPECT_GE(got[i].model_ms, got[i - 1].model_ms) << "event " << i;
     EXPECT_GT(got[i].seq, got[i - 1].seq) << "event " << i;
@@ -510,6 +513,76 @@ TEST(TracerDropTest, OverflowCountsDropsAndMirrorsIntoCounter) {
   // Clear resets retention but not the lifetime drop count.
   tracer.Clear();
   EXPECT_TRUE(tracer.Events().empty());
+}
+
+// ---------------------------------------------------------------------------
+// The tracer's one reader copies only each stripe's newest events, which is
+// exact because Record stamps seq under the stripe lock. Eight threads wrap
+// every stripe of a small ring many times over.
+
+/// Starts eight threads that each record `per_thread` events.
+std::vector<std::thread> StartRecorders(obs::EventTracer* tracer,
+                                        int per_thread) {
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 8; ++t) {
+    threads.emplace_back([tracer, t, per_thread] {
+      for (int i = 0; i < per_thread; ++i) {
+        tracer->Record(obs::TraceEventType::kEnqueue, i,
+                       "t" + std::to_string(t));
+      }
+    });
+  }
+  return threads;
+}
+
+TEST(TracerReadTest, WrappedStripesReadExactlyTheNewestEvents) {
+  // About 250 laps of an 8-event stripe, and odd, so that no stripe's
+  // overwrite cursor ends back at slot 0.
+  constexpr int kPerThread = 2003;
+  obs::EventTracer tracer(/*capacity=*/64, /*stripes=*/8);
+  for (std::thread& t : StartRecorders(&tracer, kPerThread)) t.join();
+
+  const std::vector<obs::TraceEvent> events = tracer.Events();
+  ASSERT_FALSE(events.empty());
+  ASSERT_LE(events.size(), 64u);
+  EXPECT_EQ(tracer.dropped(), 8u * kPerThread - events.size());
+  for (size_t i = 1; i < events.size(); ++i) {
+    ASSERT_GT(events[i].seq, events[i - 1].seq) << "event " << i;
+  }
+  // The newest event of all is its stripe's newest, so it is retained.
+  EXPECT_EQ(events.back().seq, 8u * kPerThread - 1);
+
+  for (size_t k : {1, 8, 63, 64, 65}) {
+    std::vector<uint64_t> want;
+    for (size_t i = events.size() - std::min(k, events.size());
+         i < events.size(); ++i) {
+      want.push_back(events[i].seq);
+    }
+    EXPECT_EQ(DumpedSeqs(tracer.DumpJson(k)), want) << "k = " << k;
+  }
+}
+
+TEST(TracerReadTest, TailReadsDuringRecordingStayInSeqOrder) {
+  obs::EventTracer tracer(/*capacity=*/64, /*stripes=*/8);
+  std::atomic<bool> recording{true};
+  int dumps = 0;
+  int disordered = 0;
+  std::thread reader([&] {
+    while (recording.load()) {
+      const std::vector<uint64_t> seqs = DumpedSeqs(tracer.DumpJson(16));
+      if (seqs.size() > 16 ||
+          std::adjacent_find(seqs.begin(), seqs.end(),
+                             std::greater_equal<uint64_t>()) != seqs.end()) {
+        ++disordered;
+      }
+      ++dumps;
+    }
+  });
+  for (std::thread& t : StartRecorders(&tracer, 20000)) t.join();
+  recording.store(false);
+  reader.join();
+  EXPECT_GT(dumps, 0);
+  EXPECT_EQ(disordered, 0) << "of " << dumps << " dumps";
 }
 
 // ---------------------------------------------------------------------------
