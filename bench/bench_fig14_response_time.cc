@@ -20,7 +20,6 @@
 #include "bench_util.h"
 #include "harness/paper_workload.h"
 #include "obs/blame.h"
-#include "obs/session_stats.h"
 
 namespace msplog {
 namespace {
@@ -33,8 +32,7 @@ struct Measurement {
   obs::Histogram::Snapshot execute;
   obs::Histogram::Snapshot flush_wait;
   uint64_t tracer_dropped = 0;
-  std::string telemetry_json = "[]";  ///< per-session SessionStats, both MSPs
-  std::string blame_json = "{}";      ///< p99 tail-latency attribution
+  std::string blame_json = "{}";  ///< p99 tail-latency attribution
 };
 
 Measurement Measure(PaperConfig config, int calls_per_request,
@@ -52,20 +50,18 @@ Measurement Measure(PaperConfig config, int calls_per_request,
   // Warm-up request (session materialization) excluded from the average.
   RunResult warm = w.RunSingleClient(5);
   (void)warm;
+  // Both MSPs' histograms: Snap() merges each name over its owners.
   obs::MetricsRegistry& m = w.env()->metrics();
-  obs::Histogram::Snapshot q0 = m.GetHistogram("msp.queue_wait_ms")->Snap();
-  obs::Histogram::Snapshot e0 = m.GetHistogram("msp.execute_ms")->Snap();
-  obs::Histogram::Snapshot f0 = m.GetHistogram("msp.flush_wait_ms")->Snap();
+  obs::MetricsRegistry::RegistrySnapshot before = m.Snap();
   out.r = w.RunSingleClient(requests);
-  out.queue_wait = m.GetHistogram("msp.queue_wait_ms")->Snap().Delta(q0);
-  out.execute = m.GetHistogram("msp.execute_ms")->Snap().Delta(e0);
-  out.flush_wait = m.GetHistogram("msp.flush_wait_ms")->Snap().Delta(f0);
+  obs::MetricsRegistry::RegistrySnapshot after = m.Snap();
+  auto delta = [&](const char* name) {
+    return after.histograms[name].Delta(before.histograms[name]);
+  };
+  out.queue_wait = delta("msp.queue_wait_ms");
+  out.execute = delta("msp.execute_ms");
+  out.flush_wait = delta("msp.flush_wait_ms");
   out.tracer_dropped = w.env()->tracer().dropped();
-
-  std::vector<obs::SessionStatsSnapshot> tel = w.msp1()->SessionTelemetry();
-  std::vector<obs::SessionStatsSnapshot> tel2 = w.msp2()->SessionTelemetry();
-  tel.insert(tel.end(), tel2.begin(), tel2.end());
-  out.telemetry_json = obs::SessionTelemetryJson(tel);
   out.blame_json =
       obs::AttributeTailQuantile(w.env()->tracer().Events(), 0.99).ToJson();
   w.Shutdown();
@@ -87,7 +83,6 @@ void Emit(PaperConfig config, int m, const Measurement& meas) {
       .Add("queue_wait", meas.queue_wait)
       .Add("execute", meas.execute)
       .Add("flush_wait", meas.flush_wait)
-      .AddRaw("session_telemetry", meas.telemetry_json)
       .AddRaw("p99_blame", meas.blame_json);
   bench::AddTracerHealth(&j, meas.tracer_dropped);
   bench::EmitJson("fig14_response_time", j);

@@ -23,7 +23,6 @@
 #include "bench_util.h"
 #include "msp/msp.h"
 #include "obs/blame.h"
-#include "obs/session_stats.h"
 #include "msp/service_domain.h"
 #include "rpc/client_endpoint.h"
 #include "sim/sim_disk.h"
@@ -47,8 +46,7 @@ struct Result {
   uint64_t peer_flushes_saved = 0;
   uint64_t messages_sent = 0;
   uint64_t disk_flushes = 0;
-  std::string telemetry_json = "[]";  ///< per-session SessionStats, all MSPs
-  std::string blame_json = "{}";      ///< p99 tail-latency attribution
+  std::string blame_json = "{}";  ///< p99 tail-latency attribution
 };
 
 Result Measure(int clients, bool coalesce, int requests_per_client) {
@@ -133,35 +131,27 @@ Result Measure(int clients, bool coalesce, int requests_per_client) {
   run_clients(2);
 
   obs::Histogram::Snapshot r0 = resp->Snap();
-  uint64_t legs0 = m.GetCounter("flush.legs_requested")->Value();
-  uint64_t coal0 = m.GetCounter("flush.legs_coalesced")->Value();
-  uint64_t saved0 = m.GetCounter("flush.messages_saved")->Value();
-  uint64_t skip0 = m.GetCounter("flush.watermark_skips")->Value();
-  uint64_t sent0 = m.GetCounter("flush.requests_sent")->Value();
-  uint64_t psave0 = m.GetCounter("flush.peer_flushes_saved")->Value();
+  // Every server's flush counters: Snap() sums each name over its owners.
+  obs::MetricsRegistry::RegistrySnapshot m0 = m.Snap();
   auto s0 = env.stats().Snap();
 
   run_clients(requests_per_client);
 
   out.response = resp->Snap().Delta(r0);
   out.requests = out.response.count;
-  out.legs_requested = m.GetCounter("flush.legs_requested")->Value() - legs0;
-  out.legs_coalesced = m.GetCounter("flush.legs_coalesced")->Value() - coal0;
-  out.messages_saved = m.GetCounter("flush.messages_saved")->Value() - saved0;
-  out.watermark_skips = m.GetCounter("flush.watermark_skips")->Value() - skip0;
-  out.flush_requests_sent =
-      m.GetCounter("flush.requests_sent")->Value() - sent0;
-  out.peer_flushes_saved =
-      m.GetCounter("flush.peer_flushes_saved")->Value() - psave0;
+  obs::MetricsRegistry::RegistrySnapshot m1 = m.Snap();
+  auto delta = [&](const char* name) {
+    return m1.counters[name] - m0.counters[name];
+  };
+  out.legs_requested = delta("flush.legs_requested");
+  out.legs_coalesced = delta("flush.legs_coalesced");
+  out.messages_saved = delta("flush.messages_saved");
+  out.watermark_skips = delta("flush.watermark_skips");
+  out.flush_requests_sent = delta("flush.requests_sent");
+  out.peer_flushes_saved = delta("flush.peer_flushes_saved");
   auto s1 = env.stats().Snap();
   out.messages_sent = s1.messages_sent - s0.messages_sent;
   out.disk_flushes = s1.disk_flushes - s0.disk_flushes;
-  std::vector<obs::SessionStatsSnapshot> tel = srv0.SessionTelemetry();
-  for (Msp* other : {&srv1, &peer}) {
-    std::vector<obs::SessionStatsSnapshot> t = other->SessionTelemetry();
-    tel.insert(tel.end(), t.begin(), t.end());
-  }
-  out.telemetry_json = obs::SessionTelemetryJson(tel);
   out.blame_json =
       obs::AttributeTailQuantile(env.tracer().Events(), 0.99).ToJson();
   srv0.Shutdown();
@@ -189,7 +179,6 @@ void Emit(int clients, bool coalesce, const Result& r) {
       .Add("peer_flushes_saved", r.peer_flushes_saved)
       .Add("messages_sent", r.messages_sent)
       .Add("disk_flushes", r.disk_flushes)
-      .AddRaw("session_telemetry", r.telemetry_json)
       .AddRaw("p99_blame", r.blame_json);
   bench::EmitJson("flush_coalescing", j);
 }

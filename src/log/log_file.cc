@@ -94,11 +94,7 @@ LogFile::LogFile(SimEnvironment* env, SimDisk* disk, std::string file_name,
   obs::MetricsRegistry& m = env_->metrics();
   hist_append_bytes_ = m.GetHistogram("log.append_bytes");
   hist_flush_wait_ms_ = m.GetHistogram("log.flush_wait_ms");
-  hist_flush_write_ms_ = m.GetHistogram("log.flush_write_ms");
   hist_flush_batch_bytes_ = m.GetHistogram("log.flush_batch_bytes");
-  hist_arena_fill_ = m.GetHistogram("log.arena_fill_bytes");
-  ctr_physical_flushes_ = m.GetCounter("log.physical_flushes");
-  ctr_arena_seals_ = m.GetCounter("log.arena_seals");
   ctr_arena_backpressure_ = m.GetCounter("log.arena_backpressure_waits");
   // Resume appending after the existing durable extent (sector-aligned).
   // The first sector is reserved so that no record ever has LSN 0 — LSN 0
@@ -242,8 +238,6 @@ void LogFile::SealActiveLocked() {
   std::fill(a->data.begin() + static_cast<ptrdiff_t>(a->reserved),
             a->data.begin() + static_cast<ptrdiff_t>(a->padded_bytes), '\0');
   env_->stats().disk_bytes_wasted.fetch_add(a->padded_bytes - a->reserved);
-  hist_arena_fill_->Record(static_cast<double>(a->reserved));
-  ctr_arena_seals_->Add(1);
   filled_bytes_ += a->padded_bytes;
   filled_.push_back(std::move(active_));
   if (filled_bytes_ >= options_.max_buffer_bytes) drain_requested_ = true;
@@ -349,10 +343,9 @@ Status LogFile::DrainLocked(audit::UniqueLock& lk) {
   // reads are lock-protected and read-only).
   lk.unlock();
   if (options_.on_physical_write) options_.on_physical_write();
-  double t0 = env_->NowModelMs();
-  env_->tracer().Record(obs::TraceEventType::kLocalFlushStart, t0, file_name_,
-                        /*session=*/"", /*seqno=*/0,
-                        "bytes=" + std::to_string(total));
+  env_->tracer().Record(obs::TraceEventType::kLocalFlushStart,
+                        env_->NowModelMs(), file_name_, /*session=*/"",
+                        /*seqno=*/0, "bytes=" + std::to_string(total));
   // Write in blocks of at most max_block_sectors (1–128 sectors, §5.2).
   // Each completed block lands in the completion hook, which advances the
   // durable watermark and wakes covered waiters mid-drain.
@@ -368,11 +361,9 @@ Status LogFile::DrainLocked(audit::UniqueLock& lk) {
     }
     if (!st.ok()) break;
   }
-  double t1 = env_->NowModelMs();
-  env_->tracer().Record(obs::TraceEventType::kLocalFlushEnd, t1, file_name_);
-  hist_flush_write_ms_->Record(t1 - t0);
+  env_->tracer().Record(obs::TraceEventType::kLocalFlushEnd,
+                        env_->NowModelMs(), file_name_);
   hist_flush_batch_bytes_->Record(static_cast<double>(total));
-  ctr_physical_flushes_->Add(1);
   lk.lock();
   if (st.ok() && !crashed_.load(std::memory_order_relaxed)) {
     // Belt and braces: the completion hook normally advanced the watermark
@@ -508,14 +499,12 @@ Status LogFile::FlushUpToImpl(uint64_t lsn) {
   // barrier on our own thread — this non-coalescing is what batch flushing
   // (§5.5) removes.
   if (options_.on_physical_write) options_.on_physical_write();
-  double bt0 = env_->NowModelMs();
-  env_->tracer().Record(obs::TraceEventType::kLocalFlushStart, bt0, file_name_,
-                        /*session=*/"", /*seqno=*/0, "barrier");
+  env_->tracer().Record(obs::TraceEventType::kLocalFlushStart,
+                        env_->NowModelMs(), file_name_, /*session=*/"",
+                        /*seqno=*/0, "barrier");
   disk_->Barrier(1);
-  double bt1 = env_->NowModelMs();
-  env_->tracer().Record(obs::TraceEventType::kLocalFlushEnd, bt1, file_name_);
-  hist_flush_write_ms_->Record(bt1 - bt0);
-  ctr_physical_flushes_->Add(1);
+  env_->tracer().Record(obs::TraceEventType::kLocalFlushEnd,
+                        env_->NowModelMs(), file_name_);
   return crashed_.load(std::memory_order_acquire)
              ? Status::Crashed("log crashed")
              : Status::OK();

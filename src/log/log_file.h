@@ -250,11 +250,7 @@ class LogFile {
   // Observability handles (owned by the environment's registry).
   obs::Histogram* hist_append_bytes_;      ///< "log.append_bytes"
   obs::Histogram* hist_flush_wait_ms_;     ///< "log.flush_wait_ms" per FlushUpTo
-  obs::Histogram* hist_flush_write_ms_;    ///< "log.flush_write_ms" per phys write
   obs::Histogram* hist_flush_batch_bytes_; ///< "log.flush_batch_bytes"
-  obs::Histogram* hist_arena_fill_;        ///< "log.arena_fill_bytes" per seal
-  obs::Counter* ctr_physical_flushes_;     ///< "log.physical_flushes"
-  obs::Counter* ctr_arena_seals_;          ///< "log.arena_seals"
   obs::Counter* ctr_arena_backpressure_;   ///< "log.arena_backpressure_waits"
 
   /// Durable-LSN watermark: first offset NOT yet durable. Written under mu_

@@ -11,12 +11,12 @@ namespace msplog {
 FlushAggregator::FlushAggregator(SimEnvironment* env, Options opts, SendFn send)
     : env_(env), opts_(std::move(opts)), send_(std::move(send)) {
   obs::MetricsRegistry& m = env_->metrics();
-  ctr_legs_ = m.GetCounter("flush.legs_requested");
-  ctr_coalesced_ = m.GetCounter("flush.legs_coalesced");
-  ctr_msgs_saved_ = m.GetCounter("flush.messages_saved");
-  ctr_skips_ = m.GetCounter("flush.watermark_skips");
-  ctr_sent_ = m.GetCounter("flush.requests_sent");
-  hist_batch_ = m.GetHistogram("flush.flight_batch");
+  ctr_legs_ = m.GetCounter("flush.legs_requested", opts_.self);
+  ctr_coalesced_ = m.GetCounter("flush.legs_coalesced", opts_.self);
+  ctr_msgs_saved_ = m.GetCounter("flush.messages_saved", opts_.self);
+  ctr_skips_ = m.GetCounter("flush.watermark_skips", opts_.self);
+  ctr_sent_ = m.GetCounter("flush.requests_sent", opts_.self);
+  hist_batch_ = m.GetHistogram("flush.flight_batch", opts_.self);
 }
 
 std::shared_ptr<FlushWaiter> FlushAggregator::Submit(
@@ -356,13 +356,13 @@ size_t FlushAggregator::WaiterCountForTest() const {
 // InboundFlushCoalescer
 // ---------------------------------------------------------------------------
 
-InboundFlushCoalescer::InboundFlushCoalescer(SimEnvironment* env, FlushFn flush,
+InboundFlushCoalescer::InboundFlushCoalescer(SimEnvironment* env,
+                                             const MspId& self, FlushFn flush,
                                              ReplyFn reply)
-    : flush_(std::move(flush)), reply_(std::move(reply)) {
-  obs::MetricsRegistry& m = env->metrics();
-  ctr_flushes_saved_ = m.GetCounter("flush.peer_flushes_saved");
-  hist_batch_ = m.GetHistogram("flush.inbound_batch");
-}
+    : flush_(std::move(flush)),
+      reply_(std::move(reply)),
+      ctr_flushes_saved_(
+          env->metrics().GetCounter("flush.peer_flushes_saved", self)) {}
 
 void InboundFlushCoalescer::Enqueue(Request r) {
   {
@@ -397,7 +397,6 @@ void InboundFlushCoalescer::Drain() {
       return;
     }
     if (batch.size() > 1) ctr_flushes_saved_->Add(batch.size() - 1);
-    hist_batch_->Record(static_cast<double>(batch.size()));
     for (const Request& r : batch) reply_(r);
   }
 }

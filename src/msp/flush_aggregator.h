@@ -170,7 +170,7 @@ class FlushAggregator {
   std::map<uint64_t, Flight> flights_ GUARDED_BY(mu_);
   uint64_t next_flush_id_ GUARDED_BY(mu_) = 1;
 
-  // Observability handles (owned by the environment's registry).
+  // Observability handles (the environment's registry, owner opts_.self).
   obs::Counter* ctr_legs_;        ///< "flush.legs_requested"
   obs::Counter* ctr_coalesced_;   ///< "flush.legs_coalesced" (in-flight joins)
   obs::Counter* ctr_msgs_saved_;  ///< "flush.messages_saved"
@@ -192,7 +192,9 @@ class InboundFlushCoalescer {
   using FlushFn = std::function<Status(uint64_t flush_sn)>;
   using ReplyFn = std::function<void(const Request&)>;
 
-  InboundFlushCoalescer(SimEnvironment* env, FlushFn flush, ReplyFn reply);
+  /// `self` is the server's id, the owner of its registry entry.
+  InboundFlushCoalescer(SimEnvironment* env, const MspId& self, FlushFn flush,
+                        ReplyFn reply);
 
   /// Queue one request. The calling thread becomes the drainer if none is
   /// active; otherwise it returns immediately and the active drainer's next
@@ -211,7 +213,6 @@ class InboundFlushCoalescer {
   std::vector<Request> queue_ GUARDED_BY(mu_);
 
   obs::Counter* ctr_flushes_saved_;  ///< "flush.peer_flushes_saved"
-  obs::Histogram* hist_batch_;       ///< "flush.inbound_batch"
 };
 
 }  // namespace msplog

@@ -16,6 +16,21 @@ std::string Lsn(uint64_t v) { return std::to_string(v); }
 
 }  // namespace
 
+std::string SessionLogStats::ToJson() const {
+  obs::Json peers;
+  for (const auto& [peer, n] : calls_by_peer) peers.Add(peer, n);
+  return obs::Json()
+      .Add("session", session_id)
+      .Add("requests", requests)
+      .Add("nested_calls", nested_calls)
+      .Add("log_records", log_records)
+      .Add("log_bytes", log_bytes)
+      .Add("checkpoints", checkpoints)
+      .Add("dv_entries", dv_entries)
+      .Add("calls_by_peer", peers)
+      .Str();
+}
+
 std::string LogInspectReport::Summary() const {
   std::string out;
   out += "records: " + std::to_string(records);
@@ -90,7 +105,9 @@ std::string LogInspectReport::ToJson() const {
       .Add("intact_lsn", intact_lsn)
       .Add("invariant_violations", violations);
   if (!session_stats.empty()) {
-    out.AddRaw("session_stats", obs::SessionTelemetryJson(session_stats));
+    obs::JsonArray sessions;
+    for (const SessionLogStats& s : session_stats) sessions.PushRaw(s.ToJson());
+    out.Add("session_stats", sessions);
   }
   return out.Str();
 }
@@ -107,7 +124,7 @@ Status InspectLogImage(SimDisk* disk, const std::string& file,
 
   // A throwaway session holds checkpoint blobs while they are validated.
   Session scratch("inspect", "inspect");
-  std::map<std::string, obs::SessionStatsSnapshot> sstats;
+  std::map<std::string, SessionLogStats> sstats;
 
   // The per-record checks, the dump and the stats ride the analysis pass.
   auto visit = [&](const LogRecord& rec, uint64_t frame_bytes) {
@@ -123,7 +140,7 @@ Status InspectLogImage(SimDisk* disk, const std::string& file,
     if (!rec.session_id.empty()) report->records_by_session[rec.session_id]++;
 
     if (opts.collect_session_stats && !rec.session_id.empty()) {
-      obs::SessionStatsSnapshot& ss = sstats[rec.session_id];
+      SessionLogStats& ss = sstats[rec.session_id];
       ss.session_id = rec.session_id;
       ++ss.log_records;
       ss.log_bytes += frame_bytes;

@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "common/status.h"
-#include "obs/session_stats.h"
 #include "sim/sim_disk.h"
 
 namespace msplog {
@@ -24,10 +23,24 @@ struct LogInspectOptions {
   bool dump_records = false;
   /// Also dump decoded session / MSP checkpoint contents.
   bool dump_checkpoints = false;
-  /// Reconstruct per-session record/byte/checkpoint stats from the image,
-  /// in the same SessionStatsSnapshot shape the live server reports, so
-  /// online telemetry and offline forensics diff cleanly.
+  /// Count each session's requests, nested calls, records, bytes and
+  /// checkpoints from the image (LogInspectReport::session_stats).
   bool collect_session_stats = false;
+};
+
+/// One session's counts, as far as its log records show them.
+struct SessionLogStats {
+  std::string session_id;
+  uint64_t requests = 0;      ///< kRequestReceive records
+  uint64_t nested_calls = 0;  ///< kReplyReceive records: completed calls
+  uint64_t log_records = 0;   ///< records carrying the session's id
+  uint64_t log_bytes = 0;     ///< their framed on-log bytes
+  uint64_t checkpoints = 0;   ///< kSessionCheckpoint records
+  uint64_t dv_entries = 0;    ///< width of the last DV a record carried
+  std::map<std::string, uint64_t> calls_by_peer;  ///< nested calls per callee
+
+  /// {"session":"s1","requests":N,...,"calls_by_peer":{"m2":N,...}}
+  std::string ToJson() const;
 };
 
 /// What the walk found. `invariant_violations` is the offline re-check of
@@ -73,11 +86,9 @@ struct LogInspectReport {
   uint64_t corrupt_lsn = 0;
   uint64_t intact_lsn = 0;
   std::vector<std::string> invariant_violations;
-  /// Per-session reconstruction (populated when
-  /// LogInspectOptions::collect_session_stats): requests, nested calls
-  /// (reply-receive records, by peer), log records/bytes, checkpoints, and
-  /// the last DV width seen — the offline subset of the live telemetry.
-  std::vector<obs::SessionStatsSnapshot> session_stats;
+  /// Per-session counts, id-sorted (populated when
+  /// LogInspectOptions::collect_session_stats).
+  std::vector<SessionLogStats> session_stats;
 
   /// Human-readable multi-line summary.
   std::string Summary() const;

@@ -23,12 +23,13 @@ Msp::Msp(SimEnvironment* env, SimNetwork* network, SimDisk* disk,
       config_(std::move(config)),
       anchor_(disk, config_.id + ".anchor") {
   obs::MetricsRegistry& m = env_->metrics();
-  hist_queue_wait_ms_ = m.GetHistogram("msp.queue_wait_ms");
-  hist_execute_ms_ = m.GetHistogram("msp.execute_ms");
-  hist_flush_wait_ms_ = m.GetHistogram("msp.flush_wait_ms");
-  hist_request_ms_ = m.GetHistogram("msp.request_ms");
-  hist_replay_ms_ = m.GetHistogram("msp.replay_ms");
-  ctr_own_requests_ = m.GetCounter(config_.id + ".requests");
+  const std::string& id = config_.id;
+  hist_queue_wait_ms_ = m.GetHistogram("msp.queue_wait_ms", id);
+  hist_execute_ms_ = m.GetHistogram("msp.execute_ms", id);
+  hist_flush_wait_ms_ = m.GetHistogram("msp.flush_wait_ms", id);
+  hist_request_ms_ = m.GetHistogram("msp.request_ms", id);
+  hist_replay_ms_ = m.GetHistogram("msp.replay_ms", id);
+  ctr_own_requests_ = m.GetCounter("msp.requests", id);
 
   // Black-box registration: at any freeze (our crash, or any invariant
   // violation) the environment's flight recorder captures this server's
@@ -110,7 +111,7 @@ Status Msp::StartLocked() {
   }
   log_ = std::make_unique<LogFile>(env_, disk_, config_.id + ".log", lopt);
   inbound_flush_ = std::make_unique<InboundFlushCoalescer>(
-      env_,
+      env_, config_.id,
       // audit:allow(blocking-under-lock): lambda runs on control-pool
       // threads when requests drain, not under the lifecycle lock here.
       [this](uint64_t flush_sn) { return log_->FlushUpTo(flush_sn); },
@@ -563,7 +564,6 @@ Status Msp::ProcessRequest(Session* s, const Message& m,
   // Execute the service method.
   ExecContext ctx(this, s, ExecContext::Mode::kNormal, m.seqno, nullptr, span);
   Bytes result;
-  s->calls_in_request = 0;
   env_->tracer().Record(obs::TraceEventType::kExecStart, env_->NowModelMs(),
                         config_.id, s->id, m.seqno, m.method, span);
   double exec_t0 = env_->NowModelMs();
@@ -572,10 +572,6 @@ Status Msp::ProcessRequest(Session* s, const Message& m,
   hist_execute_ms_->Record(exec_t1 - exec_t0);
   env_->tracer().Record(obs::TraceEventType::kExecEnd, exec_t1, config_.id,
                         s->id, m.seqno, st.ok() ? "" : st.ToString(), span);
-  s->stats.OnRequest();
-  s->stats.OnRequestFanout(s->calls_in_request);
-  s->calls_in_request = 0;
-  s->stats.SetDvEntries(s->dv.entry_count());
   PublishDv(s);
   if (st.IsOrphan()) return RecoverSessionReplay(s);
   if (st.IsCrashed() || st.IsTimedOut()) return st;
@@ -660,13 +656,12 @@ Status Msp::ApplySendRule(Session* s, bool intra, const char* what,
       m->dv = MspWideDv(s);
       env_->stats().dv_entries_attached.fetch_add(m->dv.entry_count());
     }
-    s->stats.OnPiggybackedSend();
     return Status::OK();
   }
   // Pessimistic: an output leaving the service domain must never become an
   // orphan (§2.3), so its dependencies are flushed before it is sent.
   const DependencyVector flush_dv = PessimisticFlushDv(s);
-  MSPLOG_RETURN_IF_ERROR(DistributedFlush(flush_dv, span, s));
+  MSPLOG_RETURN_IF_ERROR(DistributedFlush(flush_dv, span));
   audit::CheckWalBeforeSend(what + dest, config_.id, epoch_.load(), flush_dv,
                             log_->durable_lsn());
   return Status::OK();
@@ -700,7 +695,6 @@ uint64_t Msp::AppendSessionRecord(Session* s, LogRecord rec) {
                               StateId{epoch_.load(), lsn});
   s->dv.Set(config_.id, StateId{epoch_.load(), lsn});
   s->bytes_logged_since_cp += framed;
-  s->stats.OnLogAppend(framed);
   return lsn;
 }
 
@@ -743,12 +737,10 @@ Status Msp::LogSharedWrite(Session* s, SharedVariable* var, ByteView value) {
   uint64_t lsn = log_->Append(rec, &framed);
   // The write record belongs to the *variable's* recovery, not the session's
   // replay: it is not added to the position stream and does not change the
-  // session's state number (Fig. 8). Telemetry still attributes it to the
-  // writing session — the record carries its id, and the offline inspector's
-  // per-session reconstruction groups by that id.
+  // session's state number (Fig. 8). The record still carries the writing
+  // session's id, and the offline inspector's per-session counts group by it.
   s->last_shared_write_lsn = lsn;
   s->bytes_logged_since_cp += framed;
-  s->stats.OnLogAppend(framed);
 
   // Refined dependency tracking (§3.3): a write REPLACES the variable's DV
   // with the writer's; nothing flows back into the writer.
@@ -988,8 +980,6 @@ Status Msp::OutgoingCallImpl(Session* s, const std::string& target,
   req.parent_span_id = parent_span.span_id;
 
   const bool intra = IntraDomain(target);
-  s->stats.OnNestedCall(target, /*cross_domain=*/!intra);
-  ++s->calls_in_request;
   const Bytes* dv_wire = nullptr;
   if (log_based) {
     MSPLOG_RETURN_IF_ERROR(ApplySendRule(s, intra, "call to ", target,
@@ -1031,8 +1021,7 @@ Status Msp::OutgoingCallImpl(Session* s, const std::string& target,
 // ---------------------------------------------------------------------------
 
 Status Msp::DistributedFlush(const DependencyVector& dv,
-                             const obs::SpanContext& span,
-                             Session* stats_session) {
+                             const obs::SpanContext& span) {
   // The flush is its own child span under the stalled request span, so the
   // trace shows the log-flush stall as a distinct stage.
   obs::SpanContext fspan;
@@ -1049,10 +1038,6 @@ Status Msp::DistributedFlush(const DependencyVector& dv,
   Status st = DistributedFlushImpl(dv, fspan);
   double t1 = env_->NowModelMs();
   hist_flush_wait_ms_->Record(t1 - t0);
-  if (stats_session) {
-    stats_session->stats.OnForcedFlush();
-    stats_session->stats.OnFlushStall(t1 - t0);
-  }
   env_->tracer().Record(obs::TraceEventType::kDistFlushEnd, t1, config_.id,
                         /*session=*/"", /*seqno=*/0,
                         st.ok() ? "" : st.ToString(), fspan);
@@ -1438,21 +1423,6 @@ RecoveredStateTable Msp::SnapshotRecoveredTable() const {
   return recovered_table_;
 }
 
-std::vector<obs::SessionStatsSnapshot> Msp::SessionTelemetry() const {
-  std::vector<std::pair<std::string, std::shared_ptr<Session>>> snap;
-  {
-    audit::LockGuard lk(sessions_mu_);
-    snap.reserve(sessions_.size());
-    for (const auto& [id, s] : sessions_) snap.emplace_back(id, s);
-  }
-  // Snapping outside the table lock: SessionStats is relaxed-atomic, so no
-  // session ownership is required (std::map iteration is id-sorted already).
-  std::vector<obs::SessionStatsSnapshot> out;
-  out.reserve(snap.size());
-  for (const auto& [id, s] : snap) out.push_back(s->stats.Snap(id));
-  return out;
-}
-
 obs::FlightSnapshot Msp::BuildFlightSnapshot() const {
   obs::FlightSnapshot snap;
   snap.statusz_json = DumpStatusz();
@@ -1541,23 +1511,22 @@ std::string Msp::DumpStatusz() const {
   }
   out.Add("requests", ctr_own_requests_->Value());
 
-  // Distributed-flush group commit (shared registry: sums over every MSP in
-  // this environment; in-flight/pending legs are this MSP's own).
+  // Distributed-flush group commit.
   {
     obs::MetricsRegistry& m = env_->metrics();
     obs::Json flush;
     for (const char* name :
          {"legs_requested", "legs_coalesced", "messages_saved",
           "watermark_skips", "requests_sent", "peer_flushes_saved"}) {
-      flush.Add(name, m.GetCounter(std::string("flush.") + name)->Value());
+      flush.Add(name, m.GetCounter(std::string("flush.") + name, config_.id)
+                          ->Value());
     }
     flush.Add("in_flight", flush_agg_->InFlightForTest())
         .Add("pending_legs", flush_agg_->WaiterCountForTest())
-        .Add("flight_batch", m.GetHistogram("flush.flight_batch")->Snap());
+        .Add("flight_batch",
+             m.GetHistogram("flush.flight_batch", config_.id)->Snap());
     out.Add("flush", flush);
   }
-  // Per-session telemetry (obs/session_stats.h), id-sorted.
-  out.AddRaw("telemetry", obs::SessionTelemetryJson(SessionTelemetry()));
 
   const std::pair<const char*, const obs::Histogram*> hists[] = {
       {"queue_wait_ms", hist_queue_wait_ms_},

@@ -162,14 +162,10 @@ class Msp {
   /// recorder bundles.
   uint64_t crash_generation() const { return crash_generation_.load(); }
 
-  /// Per-session telemetry snapshots (obs/session_stats.h), id-sorted.
-  /// Relaxed-atomic reads; safe from any thread while workers run.
-  std::vector<obs::SessionStatsSnapshot> SessionTelemetry() const;
-
   /// One-call structured snapshot of the server ("/statusz"): identity,
-  /// lifecycle state, epoch, session/queue occupancy, log extents,
-  /// per-session telemetry, and latency-histogram quantiles. JSON; safe to
-  /// call from any thread.
+  /// lifecycle state, epoch, session/queue occupancy, log extents, and this
+  /// server's own request count, flush counters and latency-histogram
+  /// quantiles. JSON; safe to call from any thread.
   std::string DumpStatusz() const;
 
  private:
@@ -264,11 +260,8 @@ class Msp {
   // ---- distributed log flush (§3.1) ----
   /// Timing/tracing wrapper around DistributedFlushImpl. `span` is the
   /// request span stalled on this flush; the flush records a child span.
-  /// When `stats_session` is set, the stall is attributed to that session's
-  /// telemetry (forced flush + stall time).
   Status DistributedFlush(const DependencyVector& dv,
-                          const obs::SpanContext& span = {},
-                          Session* stats_session = nullptr);
+                          const obs::SpanContext& span = {});
   /// Submits the peer legs to the flush aggregator (skip/join/queue/launch
   /// decided per leg), flushes the local leg, then awaits every leg with a
   /// single deadline-driven wait on one condition variable.

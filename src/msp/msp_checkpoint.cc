@@ -26,7 +26,7 @@ Status Msp::TakeSessionCheckpoint(Session* s, const obs::SpanContext& span) {
                         "session", cspan);
   // §3.2: prior to a session checkpoint, a distributed log flush as dictated
   // by the session's DV ensures the checkpointed state is never an orphan.
-  Status fst = DistributedFlush(s->dv, cspan, s);
+  Status fst = DistributedFlush(s->dv, cspan);
   if (!fst.ok()) {
     env_->tracer().Record(obs::TraceEventType::kCheckpointEnd,
                           env_->NowModelMs(), config_.id, s->id, /*seqno=*/0,
@@ -45,7 +45,6 @@ Status Msp::TakeSessionCheckpoint(Session* s, const obs::SpanContext& span) {
   s->positions.Truncate();
   s->bytes_logged_since_cp = 0;
   s->msp_cps_since_cp = 0;
-  s->stats.OnCheckpoint();
   env_->stats().checkpoints_session.fetch_add(1);
   env_->tracer().Record(obs::TraceEventType::kCheckpointEnd,
                         env_->NowModelMs(), config_.id, s->id, /*seqno=*/0,

@@ -116,8 +116,6 @@ Status Msp::RecoverSessionReplay(Session* s, bool from_crash) {
   rep.converged = st.ok();
   rep.cut_eos = s->orphan_cuts > orphan_cuts_before;
   hist_replay_ms_->Record(rep.replay_ms);
-  s->stats.OnReplayedRequests(rep.requests_replayed);
-  s->stats.SetDvEntries(s->dv.entry_count());
   env_->tracer().Record(obs::TraceEventType::kReplayEnd, rep.servable_at_ms,
                         config_.id, s->id, /*seqno=*/0,
                         "replayed=" + std::to_string(rep.requests_replayed));

@@ -21,7 +21,6 @@
 #include "common/serde.h"
 #include "common/status.h"
 #include "log/position_stream.h"
-#include "obs/session_stats.h"
 #include "obs/trace.h"
 #include "recovery/dependency_vector.h"
 #include "rpc/message.h"
@@ -117,15 +116,6 @@ class Session {
   /// session; each replay records its own delta as `cut_eos`, which tells
   /// an "orphaned" outage fate from a cleanly "replayed" one.
   uint64_t orphan_cuts = 0;
-
-  // ---- telemetry (obs/session_stats.h) ----
-  /// Relaxed-atomic counters; safe to Snap() from any thread. Volatile by
-  /// design: a crash recreates the Session, so recovered sessions restart
-  /// their telemetry (replays are counted on the fresh record).
-  obs::SessionStats stats;
-  /// Nested calls made by the request currently executing; owner-thread
-  /// only, folded into stats.OnRequestFanout at the request boundary.
-  uint64_t calls_in_request = 0;
 
   // ---- hot-path encode caches (owner-thread only, like `dv` itself) ----
   /// Wire encoding of `dv`, re-encoded only when the DV actually changed

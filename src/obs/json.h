@@ -2,9 +2,8 @@
 //
 // Every machine-readable document msplog emits is built with these two
 // builders: statusz, flight bundles, recovery timelines, outage and
-// post-mortem reports, the offline inspector's report, tail blame, session
-// telemetry, the metrics and tracer dumps and the benches' BENCH_JSON
-// lines. Escaping and number formatting therefore live in one place:
+// post-mortem reports, the offline inspector's report, tail blame, the
+// tracer dumps and the benches' BENCH_JSON lines. Escaping and number formatting therefore live in one place:
 //
 //   * output is compact (no whitespace) and keeps insertion order;
 //   * strings go through JsonEscape (control characters become \u00XX);

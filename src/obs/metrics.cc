@@ -142,16 +142,18 @@ void AppendJsonValue(std::string* out, const Histogram::Snapshot& s) {
                            .Add("min", s.count ? s.min : 0.0));
 }
 
-Counter* MetricsRegistry::GetCounter(const std::string& name) {
+Counter* MetricsRegistry::GetCounter(const std::string& name,
+                                     const std::string& owner) {
   audit::LockGuard lk(mu_);
-  auto& slot = counters_[name];
+  auto& slot = counters_[Key(name, owner)];
   if (!slot) slot = std::make_unique<Counter>();
   return slot.get();
 }
 
-Histogram* MetricsRegistry::GetHistogram(const std::string& name) {
+Histogram* MetricsRegistry::GetHistogram(const std::string& name,
+                                         const std::string& owner) {
   audit::LockGuard lk(mu_);
-  auto& slot = histograms_[name];
+  auto& slot = histograms_[Key(name, owner)];
   if (!slot) slot = std::make_unique<Histogram>();
   return slot.get();
 }
@@ -159,20 +161,11 @@ Histogram* MetricsRegistry::GetHistogram(const std::string& name) {
 MetricsRegistry::RegistrySnapshot MetricsRegistry::Snap() const {
   RegistrySnapshot out;
   audit::LockGuard lk(mu_);
-  for (const auto& [name, c] : counters_) out.counters[name] = c->Value();
-  for (const auto& [name, h] : histograms_) out.histograms[name] = h->Snap();
+  for (const auto& [key, c] : counters_) out.counters[key.first] += c->Value();
+  for (const auto& [key, h] : histograms_) {
+    out.histograms[key.first].Merge(h->Snap());
+  }
   return out;
-}
-
-std::string MetricsRegistry::ToJson() const {
-  RegistrySnapshot s = Snap();
-  Json counters, histograms;
-  for (const auto& [name, v] : s.counters) counters.Add(name, v);
-  for (const auto& [name, h] : s.histograms) histograms.Add(name, h);
-  return Json()
-      .Add("counters", counters)
-      .Add("histograms", histograms)
-      .Str();
 }
 
 }  // namespace obs

@@ -25,6 +25,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "audit/mutex.h"
@@ -101,29 +102,34 @@ class Histogram {
 /// snapshots directly.
 void AppendJsonValue(std::string* out, const Histogram::Snapshot& s);
 
-/// Named registry. Get* interns the name on first use and returns a pointer
-/// that stays valid for the registry's lifetime; the fast path after interning
-/// is the metric's own relaxed atomic.
+/// Named registry, keyed by (name, owner). Get* interns the key on first use
+/// and returns a pointer that stays valid for the registry's lifetime; the
+/// fast path after interning is the metric's own relaxed atomic.
+///
+/// An owner (a server id) keeps its own entry under a shared name, so a
+/// server reports only what it recorded. Owner "" is the environment's own
+/// entry: Get*(name) reads that one entry, never a total over owners — a
+/// total is Snap().
 class MetricsRegistry {
  public:
-  Counter* GetCounter(const std::string& name);
-  Histogram* GetHistogram(const std::string& name);
+  Counter* GetCounter(const std::string& name, const std::string& owner = "");
+  Histogram* GetHistogram(const std::string& name,
+                          const std::string& owner = "");
 
-  /// Plain-value copy of everything, for reporting.
+  /// Plain-value copy of everything, for reporting: each name's counters
+  /// summed and its histograms merged over every owner.
   struct RegistrySnapshot {
     std::map<std::string, uint64_t> counters;
     std::map<std::string, Histogram::Snapshot> histograms;
   };
   RegistrySnapshot Snap() const;
 
-  /// One JSON object: {"counters":{...},"histograms":{...}}.
-  std::string ToJson() const;
-
  private:
+  using Key = std::pair<std::string, std::string>;  ///< (name, owner)
+
   mutable audit::Mutex mu_{"obs.metrics"};
-  std::map<std::string, std::unique_ptr<Counter>> counters_ GUARDED_BY(mu_);
-  std::map<std::string, std::unique_ptr<Histogram>> histograms_
-      GUARDED_BY(mu_);
+  std::map<Key, std::unique_ptr<Counter>> counters_ GUARDED_BY(mu_);
+  std::map<Key, std::unique_ptr<Histogram>> histograms_ GUARDED_BY(mu_);
 };
 
 }  // namespace obs

@@ -7,7 +7,6 @@
 #include <thread>
 
 #include "obs/json.h"
-#include "obs/metrics.h"  // Counter
 
 namespace msplog {
 namespace obs {
@@ -95,20 +94,15 @@ void EventTracer::Record(TraceEventType type, double model_ms,
   size_t idx = std::hash<std::thread::id>{}(std::this_thread::get_id()) %
                stripes_.size();
   Stripe& st = *stripes_[idx];
-  bool overwrote = false;
-  {
-    audit::LockGuard lk(st.mu);
-    e.seq = seq_.fetch_add(1, std::memory_order_relaxed);
-    st.total++;
-    if (st.ring.size() < per_stripe_) {
-      st.ring.push_back(std::move(e));
-    } else {
-      st.ring[st.next] = std::move(e);
-      st.next = (st.next + 1) % per_stripe_;
-      overwrote = true;
-    }
+  audit::LockGuard lk(st.mu);
+  e.seq = seq_.fetch_add(1, std::memory_order_relaxed);
+  st.total++;
+  if (st.ring.size() < per_stripe_) {
+    st.ring.push_back(std::move(e));
+  } else {
+    st.ring[st.next] = std::move(e);
+    st.next = (st.next + 1) % per_stripe_;
   }
-  if (overwrote && drop_counter_) drop_counter_->Add(1);
 }
 
 std::vector<TraceEvent> EventTracer::Newest(size_t n) const {

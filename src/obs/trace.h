@@ -11,8 +11,7 @@
 // buffer is bounded (oldest events are overwritten), so it stays on during
 // long benchmarks; recording is one short critical section on one of N
 // stripes, so concurrent sessions do not serialize on the tracer.
-// Overwrites are counted (dropped()) and mirrored into an optional Counter
-// so truncated traces are detectable.
+// Overwrites are counted (dropped()) so truncated traces are detectable.
 //
 // Reading: Record stamps the global seq under the stripe lock, so every
 // stripe holds its events in seq order. Events() and DumpJson() share one
@@ -48,8 +47,6 @@
 
 namespace msplog {
 namespace obs {
-
-class Counter;
 
 enum class TraceEventType : uint8_t {
   kEnqueue,           ///< request queued for its session worker
@@ -110,10 +107,6 @@ class EventTracer {
  public:
   explicit EventTracer(size_t capacity = 1 << 16, size_t stripes = 8);
 
-  /// Mirror ring overwrites into `c` (e.g. the registry's
-  /// "obs.trace_dropped"), so benches can surface truncation. May be null.
-  void set_drop_counter(Counter* c) { drop_counter_ = c; }
-
   void Record(TraceEventType type, double model_ms, std::string actor,
               std::string session = "", uint64_t seqno = 0,
               std::string detail = "", SpanContext span = SpanContext());
@@ -151,7 +144,6 @@ class EventTracer {
   size_t per_stripe_;
   std::vector<std::unique_ptr<Stripe>> stripes_;
   std::atomic<uint64_t> seq_{0};
-  Counter* drop_counter_ = nullptr;
 };
 
 }  // namespace obs

@@ -5,12 +5,6 @@ namespace msplog {
 ClientEndpoint::ClientEndpoint(SimEnvironment* env, SimNetwork* network,
                                std::string name, ClientOptions options)
     : env_(env), network_(network), name_(std::move(name)), options_(options) {
-  obs::MetricsRegistry& m = env_->metrics();
-  hist_call_ms_ = m.GetHistogram("client.call_ms");
-  ctr_calls_ = m.GetCounter("client.calls");
-  ctr_resends_ = m.GetCounter("client.resends");
-  ctr_busy_ = m.GetCounter("client.busy_replies");
-  ctr_timeouts_ = m.GetCounter("client.timeouts");
   mailbox_ = network_->Register(name_);
 }
 
@@ -48,19 +42,13 @@ Status ClientEndpoint::Call(ClientSession* session, const std::string& method,
   env_->tracer().Record(obs::TraceEventType::kClientCallStart, t0, name_,
                         session->session_id, seqno, method, root);
 
-  // Single finish path: stats and registry metrics are recorded on every
-  // exit, including the give-up timeout (callers passing stats == nullptr
-  // still get the metrics).
+  // Single finish path: stats and the end event are recorded on every exit,
+  // including the give-up timeout.
   auto finish = [&](Status st) {
     local.response_model_ms = env_->NowModelMs() - t0;
     env_->tracer().Record(obs::TraceEventType::kClientCallEnd,
                           env_->NowModelMs(), name_, session->session_id,
                           seqno, st.ok() ? "" : st.ToString(), root);
-    ctr_calls_->Add(1);
-    if (local.sends > 1) ctr_resends_->Add(local.sends - 1);
-    if (local.busy_replies > 0) ctr_busy_->Add(local.busy_replies);
-    if (st.IsTimedOut()) ctr_timeouts_->Add(1);
-    hist_call_ms_->Record(local.response_model_ms);
     if (stats) *stats = local;
     return st;
   };

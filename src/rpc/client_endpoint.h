@@ -69,13 +69,6 @@ class ClientEndpoint {
   ClientOptions options_;
   std::shared_ptr<Mailbox> mailbox_;
   std::atomic<uint64_t> next_session_ = 1;
-
-  // Observability handles (owned by the environment's registry).
-  obs::Histogram* hist_call_ms_;  ///< "client.call_ms" end-to-end per call
-  obs::Counter* ctr_calls_;       ///< "client.calls"
-  obs::Counter* ctr_resends_;     ///< "client.resends" (sends beyond the 1st)
-  obs::Counter* ctr_busy_;        ///< "client.busy_replies"
-  obs::Counter* ctr_timeouts_;    ///< "client.timeouts" (gave up entirely)
 };
 
 }  // namespace msplog

@@ -53,9 +53,6 @@ void SimEnvironment::UseFineTimerSlack() {
 SimEnvironment::SimEnvironment(double time_scale)
     : time_scale_(time_scale), start_ns_(NowNs()),
       flight_recorder_([this] { return NowModelMs(); }) {
-  // Ring overwrites become a visible counter: benches check it and warn in
-  // their BENCH_JSON when a trace was silently truncated.
-  tracer_.set_drop_counter(metrics_.GetCounter("obs.trace_dropped"));
   // Black-box wiring: bundles embed the tracer tail and the freezing
   // thread's held-lock summary, and every audit invariant violation in this
   // process freezes a bundle while this environment lives.

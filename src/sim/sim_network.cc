@@ -76,9 +76,7 @@ void Mailbox::Close() {
 }
 
 SimNetwork::SimNetwork(SimEnvironment* env, uint64_t seed)
-    : env_(env), rng_(seed) {
-  hist_delivery_ms_ = env_->metrics().GetHistogram("net.delivery_ms");
-}
+    : env_(env), rng_(seed) {}
 
 SimNetwork::~SimNetwork() { Shutdown(); }
 
@@ -173,7 +171,6 @@ void SimNetwork::Send(const std::string& from, const std::string& to,
     auto it = endpoints_.find(to);
     if (it != endpoints_.end()) mb = it->second;
   }
-  hist_delivery_ms_->Record(delay_ms);
   if (!mb) return;  // dead host: packet lost
 
   // Arrival time on the receiver's clock; 0 means due now.

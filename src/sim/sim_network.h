@@ -167,8 +167,6 @@ class SimNetwork {
                              const std::string& to) const REQUIRES(mu_);
 
   SimEnvironment* env_;
-  /// Model one-way delay charged to each sent message ("net.delivery_ms").
-  obs::Histogram* hist_delivery_ms_;
 
   mutable audit::Mutex mu_{"sim_network"};
   double default_one_way_ms_ GUARDED_BY(mu_) = 0.0;

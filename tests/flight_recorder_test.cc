@@ -212,6 +212,51 @@ TEST(FlightRecorderIntegrationTest, CrashBundleHoldsTheNewest256Events) {
   w.Shutdown();
 }
 
+// The statusz a crash freezes is the crashed server's own: MSP1's queue-wait
+// count equals MSP1's dequeues, though MSP2 served a nested call for each.
+TEST(FlightRecorderIntegrationTest, CrashBundleStatuszCountsOnlyItsServer) {
+  PaperWorkloadOptions opts;
+  opts.config = PaperConfig::kLoOptimistic;
+  opts.time_scale = 0.0;
+  opts.checkpoint_daemon = false;  // no recorder runs between requests
+  PaperWorkload w(opts);
+  ASSERT_TRUE(w.Start().ok());
+  const obs::EventTracer& tracer = w.env()->tracer();
+  auto client = w.MakeClient("client1");
+  auto session = client->StartSession("msp1");
+  Bytes reply;
+  for (int i = 0; i < 5; ++i) {
+    ASSERT_TRUE(
+        client->Call(&session, "ServiceMethod1", MakePayload(100, 1), &reply)
+            .ok());
+  }
+  // Let the calls settle: wait until the ring stops growing.
+  size_t seen = 0;
+  for (int poll = 0; poll < 500 && tracer.Events().size() != seen; ++poll) {
+    seen = tracer.Events().size();
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  auto dequeued = [&](const std::string& id) {
+    uint64_t n = 0;
+    for (const obs::TraceEvent& e : tracer.Events()) {
+      if (e.type == obs::TraceEventType::kDequeue && e.actor == id) ++n;
+    }
+    return n;
+  };
+  const uint64_t msp1_dequeues = dequeued("msp1");
+  ASSERT_GE(msp1_dequeues, 5u);
+  ASSERT_GE(dequeued("msp2"), 5u);
+
+  w.msp1()->Crash();
+  const obs::FlightBundle b = w.env()->flight_recorder().LatestBundleFor("msp1");
+  ASSERT_TRUE(b.frozen);
+  ASSERT_EQ(b.snapshots.size(), 1u);
+  EXPECT_EQ(UintAt(b.snapshots[0].second.statusz_json,
+                   {"histograms", "queue_wait_ms", "count"}),
+            msp1_dequeues);
+  w.Shutdown();
+}
+
 TEST(FlightRecorderIntegrationTest, StatuszCarriesCrashEpochs) {
   PaperWorkloadOptions opts;
   opts.config = PaperConfig::kLoOptimistic;

@@ -95,8 +95,9 @@ class FlushCoalesceTest : public ::testing::Test {
     ASSERT_TRUE(alpha_->Start().ok());
   }
 
+  /// `name` summed over every server that records it.
   uint64_t Ctr(const std::string& name) {
-    return env_.metrics().GetCounter(name)->Value();
+    return env_.metrics().Snap().counters[name];
   }
 
   /// Run `clients` sessions through one synchronized round of relay_gated:

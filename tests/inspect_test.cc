@@ -229,7 +229,7 @@ TEST_F(InspectTest, StatsReconstructsPerSessionCountsFromTheImage) {
   ASSERT_TRUE(InspectLogImage(&disk_, "m1.log", opts, &report).ok());
 
   ASSERT_EQ(report.session_stats.size(), 1u);
-  const obs::SessionStatsSnapshot& ss = report.session_stats[0];
+  const SessionLogStats& ss = report.session_stats[0];
   ASSERT_EQ(report.records_by_session.count(ss.session_id), 1u);
   // The reconstruction agrees with the walk's own accounting.
   EXPECT_EQ(ss.log_records, report.records_by_session.at(ss.session_id));
@@ -245,13 +245,19 @@ TEST_F(InspectTest, StatsReconstructsPerSessionCountsFromTheImage) {
   EXPECT_EQ(ss.nested_calls, 0u);  // this workload makes no nested calls
   EXPECT_TRUE(ss.calls_by_peer.empty());
 
-  // Rendered in both outputs, in the same shape live telemetry uses.
+  // Rendered in both outputs. The JSON claims nothing a log cannot show.
   EXPECT_NE(report.Summary().find("per-session stats:"), std::string::npos);
   EXPECT_NE(report.Summary().find(ss.session_id + ": requests="),
             std::string::npos);
-  EXPECT_NE(report.ToJson().find("\"session_stats\":[{\"session\":"),
-            std::string::npos);
-  EXPECT_TRUE(JsonStrict(report.ToJson()));
+  const std::string json = report.ToJson();
+  EXPECT_NE(json.find("\"session_stats\":[{\"session\":"), std::string::npos);
+  EXPECT_TRUE(JsonStrict(json));
+  for (const char* key :
+       {"max_request_fanout", "cross_domain_calls", "flush_stalls",
+        "flush_stall_ms", "forced_flushes", "piggybacked_sends", "replays"}) {
+    EXPECT_EQ(json.find("\"" + std::string(key) + "\":"), std::string::npos)
+        << key;
+  }
 
   // Without the flag the report stays lean.
   LogInspectReport plain;

@@ -9,7 +9,10 @@
 #include <cctype>
 #include <cstdint>
 #include <cstdlib>
+#include <initializer_list>
+#include <limits>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace msplog {
@@ -157,6 +160,22 @@ inline std::vector<uint64_t> DumpedSeqs(const std::string& json) {
     out.push_back(std::strtoull(json.c_str() + at + key.size(), nullptr, 10));
   }
   return out;
+}
+
+/// The unsigned integer at `path` in a compact JSON document, each key
+/// looked up after the previous one: {"flush", "legs_requested"} reads
+/// statusz's flush.legs_requested. Max when a key is missing, which no
+/// count reaches.
+inline uint64_t UintAt(const std::string& json,
+                       std::initializer_list<std::string_view> path) {
+  size_t at = 0;
+  for (std::string_view key : path) {
+    const std::string quoted = "\"" + std::string(key) + "\":";
+    at = json.find(quoted, at);
+    if (at == std::string::npos) return std::numeric_limits<uint64_t>::max();
+    at += quoted.size();
+  }
+  return std::strtoull(json.c_str() + at, nullptr, 10);
 }
 
 }  // namespace msplog

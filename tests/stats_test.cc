@@ -18,7 +18,6 @@
 #include "obs/blame.h"
 #include "obs/json.h"
 #include "obs/metrics.h"
-#include "obs/session_stats.h"
 #include "obs/trace.h"
 #include "rpc/client_endpoint.h"
 #include "sim/sim_disk.h"
@@ -66,6 +65,38 @@ class StatsTest : public ::testing::Test {
     });
     ASSERT_TRUE(beta_->Start().ok());
     ASSERT_TRUE(alpha_->Start().ok());
+  }
+
+  /// `id`'s kDequeue events: one per request its workers took, client
+  /// resends included — the server's own truth.
+  uint64_t Dequeued(const std::string& id) const {
+    uint64_t n = 0;
+    for (const obs::TraceEvent& e : env_.tracer().Events()) {
+      if (e.type == obs::TraceEventType::kDequeue && e.actor == id) ++n;
+    }
+    return n;
+  }
+
+  /// One client call to alpha, which calls beta once, then three direct
+  /// client calls to beta. Returns once each server's request count has
+  /// caught up with its dequeues: a worker counts its request after the
+  /// reply has left.
+  void CallAlphaOnceAndBetaThrice() {
+    ClientEndpoint client(&env_, &net_, "cli");
+    auto to_alpha = client.StartSession("alpha");
+    auto to_beta = client.StartSession("beta");
+    Bytes reply;
+    ASSERT_TRUE(client.Call(&to_alpha, "workload", "a", &reply).ok());
+    for (int i = 0; i < 3; ++i) {
+      ASSERT_TRUE(client.Call(&to_beta, "echo", "b", &reply).ok());
+    }
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while ((UintAt(alpha_->DumpStatusz(), {"requests"}) != Dequeued("alpha") ||
+            UintAt(beta_->DumpStatusz(), {"requests"}) != Dequeued("beta")) &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
   }
 
   SimEnvironment env_;
@@ -291,6 +322,41 @@ TEST(HistogramTest, SnapshotMergeAndDelta) {
   EXPECT_NEAR(delta.P50(), 2.0, 2.0 / 32);  // within one log bucket
 }
 
+// One entry per (name, owner); Snap() adds up each name's counters and
+// merges its histograms over the owners.
+TEST(MetricsRegistryTest, SnapSumsEachNameOverItsOwners) {
+  obs::MetricsRegistry reg;
+  obs::Counter* ca = reg.GetCounter("test.count", "a");
+  obs::Counter* cb = reg.GetCounter("test.count", "b");
+  EXPECT_NE(ca, cb);
+  EXPECT_EQ(ca, reg.GetCounter("test.count", "a"));
+  EXPECT_EQ(cb, reg.GetCounter("test.count", "b"));
+  ca->Add(3);
+  cb->Add(4);
+
+  obs::Histogram* ha = reg.GetHistogram("test.hist", "a");
+  obs::Histogram* hb = reg.GetHistogram("test.hist", "b");
+  EXPECT_NE(ha, hb);
+  EXPECT_EQ(ha, reg.GetHistogram("test.hist", "a"));
+  EXPECT_EQ(hb, reg.GetHistogram("test.hist", "b"));
+  obs::Histogram all;
+  for (int v = 1; v <= 100; ++v) {
+    (v <= 50 ? ha : hb)->Record(v);
+    all.Record(v);
+  }
+
+  const obs::MetricsRegistry::RegistrySnapshot snap = reg.Snap();
+  EXPECT_EQ(snap.counters.size(), 1u);
+  EXPECT_EQ(snap.counters.at("test.count"), 7u);
+  const obs::Histogram::Snapshot& h = snap.histograms.at("test.hist");
+  EXPECT_EQ(h.count, 100u);
+  EXPECT_DOUBLE_EQ(h.min, 1.0);
+  EXPECT_DOUBLE_EQ(h.max, 100.0);
+  EXPECT_DOUBLE_EQ(h.P50(), all.Snap().P50());
+  // No owner is the registry's own entry, not a total.
+  EXPECT_EQ(reg.GetCounter("test.count")->Value(), 0u);
+}
+
 // ---------------------------------------------------------------------------
 // EventTracer: the request lifecycle leaves an exact, ordered event chain.
 
@@ -495,16 +561,12 @@ TEST_F(StatsTest, RecoveryTimelineAccountsCrashRecoveryPhases) {
 // ---------------------------------------------------------------------------
 // Tracer ring overflow is counted, not silent.
 
-TEST(TracerDropTest, OverflowCountsDropsAndMirrorsIntoCounter) {
-  obs::MetricsRegistry reg;
-  obs::Counter* c = reg.GetCounter("obs.trace_dropped");
+TEST(TracerDropTest, OverflowCountsDropsAndKeepsTheNewestEvents) {
   obs::EventTracer tracer(/*capacity=*/8, /*stripes=*/1);
-  tracer.set_drop_counter(c);
   for (int i = 0; i < 20; ++i) {
     tracer.Record(obs::TraceEventType::kEnqueue, i, "actor");
   }
   EXPECT_EQ(tracer.dropped(), 12u);
-  EXPECT_EQ(c->Value(), 12u);
   // The ring keeps the newest events.
   auto events = tracer.Events();
   ASSERT_EQ(events.size(), 8u);
@@ -651,129 +713,36 @@ TEST_F(StatsTest, DumpStatuszCarriesLiveStateAndSurvivesCrashCycle) {
 }
 
 // Each statusz counts only the requests its own server served: alpha serves
-// one request (and calls beta once), beta three more from the client. A
-// server's truth is its own dequeue events, which count client resends
-// exactly as the request counter does.
+// one request (and calls beta once), beta three more from the client. The
+// request counter counts client resends exactly as the dequeue events do.
 TEST_F(StatsTest, StatuszCountsOnlyItsOwnServersRequests) {
   Build(/*same_domain=*/true);
-  ClientEndpoint client(&env_, &net_, "cli");
-  auto to_alpha = client.StartSession("alpha");
-  auto to_beta = client.StartSession("beta");
-  Bytes reply;
-  ASSERT_TRUE(client.Call(&to_alpha, "workload", "a", &reply).ok());
-  for (int i = 0; i < 3; ++i) {
-    ASSERT_TRUE(client.Call(&to_beta, "echo", "b", &reply).ok());
-  }
-  // The server's count is the first "requests" key; the per-session
-  // telemetry that follows it carries its own.
-  auto requests = [](const Msp& msp) -> uint64_t {
-    const std::string s = msp.DumpStatusz();
-    const size_t at = s.find("\"requests\":");
-    return at == std::string::npos ? 0 : std::stoull(s.substr(at + 11));
-  };
-  auto dequeued = [&](const std::string& id) {
-    uint64_t n = 0;
-    for (const obs::TraceEvent& e : env_.tracer().Events()) {
-      if (e.type == obs::TraceEventType::kDequeue && e.actor == id) ++n;
-    }
-    return n;
-  };
-  // A worker counts its request after the reply has left: let both settle.
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(10);
-  while ((requests(*alpha_) != dequeued("alpha") ||
-          requests(*beta_) != dequeued("beta")) &&
-         std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  EXPECT_GE(dequeued("alpha"), 1u);
-  EXPECT_GE(dequeued("beta"), 4u);
-  EXPECT_EQ(requests(*alpha_), dequeued("alpha"));
-  EXPECT_EQ(requests(*beta_), dequeued("beta"));
+  ASSERT_NO_FATAL_FAILURE(CallAlphaOnceAndBetaThrice());
+  EXPECT_GE(Dequeued("alpha"), 1u);
+  EXPECT_GE(Dequeued("beta"), 4u);
+  EXPECT_EQ(UintAt(alpha_->DumpStatusz(), {"requests"}), Dequeued("alpha"));
+  EXPECT_EQ(UintAt(beta_->DumpStatusz(), {"requests"}), Dequeued("beta"));
 }
 
-// ---------------------------------------------------------------------------
-// Per-session telemetry: the MSP hot paths feed SessionStats exactly.
-
-TEST_F(StatsTest, SessionTelemetryCountsHotPathEventsIntraDomain) {
+// Each statusz's histograms and flush counters are its own server's, in the
+// same world. Only alpha's reply depends on a peer (beta's reply to its
+// nested call), so only alpha requests flush legs; a client resend answered
+// from alpha's buffered reply requests another, so alpha's count is a floor.
+TEST_F(StatsTest, StatuszHistogramsAndFlushCountersArePerServer) {
   Build(/*same_domain=*/true);
-  ClientEndpoint client(&env_, &net_, "cli");
-  auto session = client.StartSession("alpha");
-  Bytes reply;
-  constexpr uint64_t kN = 6;
-  for (uint64_t i = 0; i < kN; ++i) {
-    ASSERT_TRUE(client.Call(&session, "workload", "a", &reply).ok());
+  ASSERT_NO_FATAL_FAILURE(CallAlphaOnceAndBetaThrice());
+  for (const Msp* msp : {alpha_.get(), beta_.get()}) {
+    const std::string id = msp->config().id;
+    EXPECT_EQ(UintAt(msp->DumpStatusz(),
+                     {"histograms", "queue_wait_ms", "count"}),
+              Dequeued(id))
+        << id;
   }
-  auto tel = alpha_->SessionTelemetry();
-  ASSERT_EQ(tel.size(), 1u);
-  const obs::SessionStatsSnapshot& s = tel[0];
-  EXPECT_EQ(s.session_id, session.session_id);
-  EXPECT_EQ(s.requests, kN);
-  // Each request makes exactly one nested call to beta, intra-domain.
-  EXPECT_EQ(s.nested_calls, kN);
-  EXPECT_EQ(s.max_request_fanout, 1u);
-  EXPECT_EQ(s.cross_domain_calls, 0u);
-  ASSERT_EQ(s.calls_by_peer.size(), 1u);
-  EXPECT_EQ(s.calls_by_peer.at("beta"), kN);
-  // The intra-domain call piggybacks the DV; the reply to the end client
-  // (outside any domain) forces one distributed flush per request.
-  EXPECT_EQ(s.piggybacked_sends, kN);
-  EXPECT_EQ(s.forced_flushes, kN);
-  EXPECT_EQ(s.flush_stalls, kN);
-  EXPECT_GT(s.flush_stall_ms, 0.0);
-  // RequestReceive + SharedRead + SharedWrite + ReplyReceive per request.
-  EXPECT_EQ(s.log_records, 4 * kN);
-  EXPECT_GT(s.log_bytes, 0u);
-  EXPECT_EQ(s.checkpoints, 0u);
-  EXPECT_EQ(s.replays, 0u);
-
-  // Beta's side of the same traffic: its per-caller session served the
-  // nested calls and made none of its own.
-  auto beta_tel = beta_->SessionTelemetry();
-  ASSERT_EQ(beta_tel.size(), 1u);
-  EXPECT_EQ(beta_tel[0].requests, kN);
-  EXPECT_EQ(beta_tel[0].nested_calls, 0u);
-  EXPECT_TRUE(beta_tel[0].calls_by_peer.empty());
-}
-
-TEST_F(StatsTest, SessionTelemetryCountsCrossDomainFlushes) {
-  Build(/*same_domain=*/false);
-  ClientEndpoint client(&env_, &net_, "cli");
-  auto session = client.StartSession("alpha");
-  Bytes reply;
-  constexpr uint64_t kN = 4;
-  for (uint64_t i = 0; i < kN; ++i) {
-    ASSERT_TRUE(client.Call(&session, "workload", "a", &reply).ok());
-  }
-  auto tel = alpha_->SessionTelemetry();
-  ASSERT_EQ(tel.size(), 1u);
-  const obs::SessionStatsSnapshot& s = tel[0];
-  EXPECT_EQ(s.cross_domain_calls, kN);
-  // Alpha forces a flush before the cross-domain request2 and before the
-  // reply to the end client — two of the three per-request flushes are
-  // attributed to this session (the third belongs to beta's side).
-  EXPECT_EQ(s.forced_flushes, 2 * kN);
-  EXPECT_EQ(s.piggybacked_sends, 0u);
-}
-
-TEST_F(StatsTest, SessionTelemetryCountsReplaysOnFreshRecord) {
-  Build(/*same_domain=*/true);
-  ClientEndpoint client(&env_, &net_, "cli");
-  auto session = client.StartSession("alpha");
-  Bytes reply;
-  constexpr uint64_t kN = 5;
-  for (uint64_t i = 0; i < kN; ++i) {
-    ASSERT_TRUE(client.Call(&session, "workload", "a", &reply).ok());
-  }
-  alpha_->Crash();
-  ASSERT_TRUE(alpha_->Start().ok());
-  ASSERT_TRUE(client.Call(&session, "workload", "a", &reply).ok());
-  auto tel = alpha_->SessionTelemetry();
-  ASSERT_EQ(tel.size(), 1u);
-  // The crash destroyed the in-memory stats with the session object; the
-  // fresh record separates recovery work (replays) from live traffic.
-  EXPECT_EQ(tel[0].replays, kN);
-  EXPECT_EQ(tel[0].requests, 1u);
+  const std::string alpha = alpha_->DumpStatusz();
+  const std::string beta = beta_->DumpStatusz();
+  EXPECT_GE(UintAt(alpha, {"flush", "legs_requested"}), 1u);
+  EXPECT_EQ(UintAt(beta, {"flush", "legs_requested"}), 0u);
+  EXPECT_EQ(UintAt(beta, {"flush", "requests_sent"}), 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -848,7 +817,7 @@ TEST(JsonWriterTest, ControlCharactersInStringsAreEscaped) {
   EXPECT_EQ(obs::JsonEscape("a\"b"), "a\\\"b");
 }
 
-TEST_F(StatsTest, DumpStatuszAndTelemetryDumpsParseStrictly) {
+TEST_F(StatsTest, StatuszTraceAndRecoveryDumpsParseStrictly) {
   Build(/*same_domain=*/true);
   ClientEndpoint client(&env_, &net_, "cli");
   auto session = client.StartSession("alpha");
@@ -857,19 +826,9 @@ TEST_F(StatsTest, DumpStatuszAndTelemetryDumpsParseStrictly) {
     ASSERT_TRUE(client.Call(&session, "workload", "a", &reply).ok());
   }
 
-  std::string statusz = alpha_->DumpStatusz();
-  EXPECT_TRUE(JsonStrict(statusz));
-  EXPECT_NE(statusz.find("\"telemetry\":["), std::string::npos);
-  EXPECT_NE(statusz.find("\"session\":\"" + session.session_id + "\""),
-            std::string::npos);
-  EXPECT_NE(statusz.find("\"calls_by_peer\":{\"beta\":"), std::string::npos);
-
-  EXPECT_TRUE(
-      JsonStrict(obs::SessionTelemetryJson(alpha_->SessionTelemetry())));
+  EXPECT_TRUE(JsonStrict(alpha_->DumpStatusz()));
   EXPECT_TRUE(JsonStrict(
       obs::AttributeTailQuantile(env_.tracer().Events(), 0.99).ToJson()));
-
-  EXPECT_TRUE(JsonStrict(env_.metrics().ToJson()));
   EXPECT_TRUE(JsonStrict(env_.tracer().DumpJson()));
   EXPECT_TRUE(JsonStrict(env_.tracer().DumpChromeTracing()));
   // The crashed server's dump parses too.

@@ -14,8 +14,8 @@
 //
 //   --records      dump one line per record (type, session, seqno, CRC)
 //   --checkpoints  also dump decoded checkpoint contents
-//   --stats        per-session record/byte/checkpoint counts, in the same
-//                  SessionStats shape the live server's telemetry reports
+//   --stats        per-session counts a log can show: requests, nested
+//                  calls (by peer), records, bytes, checkpoints, DV width
 //   --json         print the report as JSON instead of text
 //   --self-check   exit 1 unless the image has records and no invariant
 //                  violations, mid-log corruption included (CI gate)
