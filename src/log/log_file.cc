@@ -19,6 +19,9 @@ constexpr size_t kInitialArenaBytes = 64 * 1024;
 constexpr size_t kMaxArenas = 4;
 /// Bound on remembered arena starts (reclaim candidates).
 constexpr size_t kMaxArenaStarts = 1024;
+/// Largest physical write: the paper's disk takes 1–128 sectors per I/O
+/// (§5.2).
+constexpr uint64_t kMaxBlockSectors = 128;
 
 void PutU32At(Bytes* buf, size_t pos, uint32_t v) {
   for (int i = 0; i < 4; ++i) {
@@ -346,11 +349,10 @@ Status LogFile::DrainLocked(audit::UniqueLock& lk) {
   env_->tracer().Record(obs::TraceEventType::kLocalFlushStart,
                         env_->NowModelMs(), file_name_, /*session=*/"",
                         /*seqno=*/0, "bytes=" + std::to_string(total));
-  // Write in blocks of at most max_block_sectors (1–128 sectors, §5.2).
-  // Each completed block lands in the completion hook, which advances the
-  // durable watermark and wakes covered waiters mid-drain.
-  const uint64_t max_block_bytes =
-      static_cast<uint64_t>(options_.max_block_sectors) * sector_bytes_;
+  // Write in blocks of at most kMaxBlockSectors. Each completed block lands
+  // in the completion hook, which advances the durable watermark and wakes
+  // covered waiters mid-drain.
+  const uint64_t max_block_bytes = kMaxBlockSectors * sector_bytes_;
   Status st;
   for (const LogArena* a : batch) {
     for (uint64_t off = 0; st.ok() && off < a->padded_bytes;

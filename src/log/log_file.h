@@ -54,7 +54,6 @@ namespace msplog {
 struct LogFileOptions {
   bool batch_flush = false;
   double batch_timeout_ms = 8.0;
-  uint32_t max_block_sectors = 128;
   /// Safety valve: buffered-but-unwritten bytes beyond this trigger a
   /// background drain even without an explicit request, and a single arena
   /// never grows beyond this (bounds memory under pure optimism).

@@ -31,6 +31,29 @@ std::string SessionLogStats::ToJson() const {
       .Str();
 }
 
+std::vector<std::string> LogInspectReport::FateMismatches(
+    const obs::OutageReport& live) const {
+  std::vector<std::string> out;
+  size_t compared = 0;
+  for (const obs::OutageReport::SessionFate& s : live.sessions) {
+    std::string mine = "(not in flight)";
+    for (const InflightFate& f : fates) {
+      if (f.session_id != s.session_id) continue;
+      mine = f.fate;
+      ++compared;
+    }
+    if (mine != s.fate) {
+      out.push_back("session " + s.session_id + ": live=" + s.fate +
+                    " log-derived=" + mine);
+    }
+  }
+  if (compared != fates.size()) {
+    out.push_back("live report covers " + std::to_string(compared) + " of " +
+                  std::to_string(fates.size()) + " in-flight sessions");
+  }
+  return out;
+}
+
 std::string LogInspectReport::Summary() const {
   std::string out;
   out += "records: " + std::to_string(records);
@@ -72,6 +95,16 @@ std::string LogInspectReport::Summary() const {
              std::to_string(s.dv_entries) + "\n";
     }
   }
+  if (durable_at_crash) {
+    out += "crash: log durable to " + Lsn(*durable_at_crash) + ", " +
+           std::to_string(fates.size()) + " in-flight session(s)\n";
+    for (const InflightFate& f : fates) {
+      out += "  session " + f.session_id + ": " + f.fate + " (first_lsn=" +
+             Lsn(f.first_lsn) + ", requests_logged=" +
+             std::to_string(f.requests_logged) + ", eos_cuts_after_crash=" +
+             std::to_string(f.eos_cuts_after_crash) + ")\n";
+    }
+  }
   if (invariant_violations.empty()) {
     out += "invariants: OK\n";
   } else {
@@ -108,6 +141,18 @@ std::string LogInspectReport::ToJson() const {
     obs::JsonArray sessions;
     for (const SessionLogStats& s : session_stats) sessions.PushRaw(s.ToJson());
     out.Add("session_stats", sessions);
+  }
+  if (durable_at_crash) {
+    obs::JsonArray arr;
+    for (const InflightFate& f : fates) {
+      arr.Push(obs::Json()
+                   .Add("session", f.session_id)
+                   .Add("fate", f.fate)
+                   .Add("first_lsn", f.first_lsn)
+                   .Add("requests_logged", f.requests_logged)
+                   .Add("eos_cuts_after_crash", f.eos_cuts_after_crash));
+    }
+    out.Add("durable_at_crash", *durable_at_crash).Add("fates", arr);
   }
   return out.Str();
 }
@@ -300,6 +345,26 @@ Status InspectLogImage(SimDisk* disk, const std::string& file,
 
   for (auto& entry : sstats) {
     report->session_stats.push_back(std::move(entry.second));
+  }
+
+  // The post-mortem: classify the sessions the crash names as in flight.
+  if (opts.crash) {
+    const uint64_t crash = opts.crash->durable_lsn;
+    report->durable_at_crash = crash;
+    for (const std::string& id : opts.crash->inflight_sessions) {
+      InflightFate& f = report->fates.emplace_back();
+      f.session_id = id;
+      f.fate = "never-logged";
+      auto it = scan.sessions.find(id);
+      if (it == scan.sessions.end()) continue;
+      const SessionAnalysis& a = it->second;
+      f.first_lsn = a.first_lsn;
+      // A durable trace is any record of the session below the crash point.
+      if (f.first_lsn >= crash) continue;
+      for (const auto& r : a.requests) f.requests_logged += r.lsn < crash;
+      for (const auto& c : a.cuts) f.eos_cuts_after_crash += c.to_lsn >= crash;
+      f.fate = f.eos_cuts_after_crash > 0 ? "orphaned" : "replayed";
+    }
   }
 
   return Status::OK();

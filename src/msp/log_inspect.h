@@ -2,18 +2,24 @@
 // physical log image with crash recovery's analysis pass (AnalyzeLog, whose
 // session tables feed the per-session checks), decode every checkpoint
 // blob, and re-check the structural invariants the online scanner relies
-// on — without booting an MSP.
+// on — without booting an MSP. Given the facts a crash froze, the same pass
+// is the outage post-mortem: it re-derives each in-flight session's fate
+// from the log alone, next to the scan's torn-tail / corruption verdict,
+// to cross-check the live recovery's outage view (obs/recovery_timeline.h).
 //
 // The core is separated from the msplog_inspect CLI so tests can inspect a
-// live SimDisk directly while CI runs the CLI over an exported image file.
+// live SimDisk directly while ctest runs the CLI over exported files.
 #pragma once
 
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "common/status.h"
+#include "obs/flight_recorder.h"
+#include "obs/recovery_timeline.h"
 #include "sim/sim_disk.h"
 
 namespace msplog {
@@ -26,6 +32,19 @@ struct LogInspectOptions {
   /// Count each session's requests, nested calls, records, bytes and
   /// checkpoints from the image (LogInspectReport::session_stats).
   bool collect_session_stats = false;
+  /// The crash to account for: classify each in-flight session's fate
+  /// (LogInspectReport::fates).
+  std::optional<obs::CrashFacts> crash;
+};
+
+/// One in-flight session's fate as the log shows it: the outage view's
+/// taxonomy minus "pending", since the log never leaves a fate open.
+struct InflightFate {
+  std::string session_id;
+  std::string fate;  ///< "replayed" | "orphaned" | "never-logged"
+  uint64_t first_lsn = 0;             ///< earliest surviving record, 0 if none
+  uint64_t requests_logged = 0;       ///< kRequestReceive below the crash point
+  uint64_t eos_cuts_after_crash = 0;  ///< EOS cuts at or past the crash point
 };
 
 /// One session's counts, as far as its log records show them.
@@ -89,6 +108,15 @@ struct LogInspectReport {
   /// Per-session counts, id-sorted (populated when
   /// LogInspectOptions::collect_session_stats).
   std::vector<SessionLogStats> session_stats;
+  /// With LogInspectOptions::crash: the durable extent at the crash, and
+  /// one fate per in-flight session, in the facts' order.
+  std::optional<uint64_t> durable_at_crash;
+  std::vector<InflightFate> fates;
+
+  /// Where the live outage view disagrees with `fates`, one line each: a
+  /// session whose fate differs or that was not in flight, or in-flight
+  /// sessions the view leaves out. Empty when the two agree.
+  std::vector<std::string> FateMismatches(const obs::OutageReport& live) const;
 
   /// Human-readable multi-line summary.
   std::string Summary() const;
@@ -99,6 +127,14 @@ struct LogInspectReport {
 /// extent. Returns non-OK only for environmental failures (missing file);
 /// corrupt frames and invariant violations are reported in `*report`.
 /// `dump_text`, when set, receives the per-record dump per `opts`.
+///
+/// With crash facts, each in-flight session's fate follows from its session
+/// entry (the newest incarnation, per AnalyzeLog's rule):
+///   * never-logged — no record below the crash's durable LSN: the crash
+///     erased the session; the client's work never reached the disk.
+///   * orphaned — a durable trace, and recovery wrote an EOS cut for it at
+///     or past the crash point: part of its work was discarded (§4.1).
+///   * replayed — a durable trace and no post-crash cut.
 Status InspectLogImage(SimDisk* disk, const std::string& file,
                        const LogInspectOptions& opts, LogInspectReport* report,
                        std::string* dump_text = nullptr);

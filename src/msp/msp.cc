@@ -189,10 +189,14 @@ void Msp::CrashLocked(bool is_crash) {
 
   if (is_crash) {
     // Black box first, while the log extents and session table still
-    // describe the moment of death. The bundle is generation-stamped so the
-    // recovery-side join can tell this fault from earlier ones.
+    // describe the moment of death. The next recovery joins this bundle's
+    // facts, kept here: the recorder's bounded history is shared by every
+    // server and may have evicted the bundle by then.
     const uint64_t gen = crash_generation_.fetch_add(1) + 1;
-    env_->flight_recorder().FreezeOnCrash(config_.id, gen);
+    std::optional<obs::CrashFacts> facts =
+        env_->flight_recorder().FreezeOnCrash(config_.id, gen).Facts();
+    audit::LockGuard lk(timeline_mu_);
+    crash_facts_ = std::move(facts);
   }
 
   network_->Unregister(config_.id);
@@ -1432,13 +1436,7 @@ obs::FlightSnapshot Msp::BuildFlightSnapshot() const {
       if (!s->ended) snap.inflight_sessions.push_back(id);
     }
   }
-  if (log_) {
-    const LogExtents x = log_->Extents();  // one consistent snapshot
-    snap.log_end_lsn = x.end_lsn;
-    snap.log_durable_lsn = x.durable_lsn;
-    snap.log_reclaimed_lsn = x.reclaimed_lsn;
-    snap.log_archived_lsn = x.archived_lsn;
-  }
+  if (log_) snap.log_durable_lsn = log_->durable_lsn();
   return snap;
 }
 

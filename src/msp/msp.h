@@ -31,6 +31,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <utility>
@@ -183,12 +184,13 @@ class Msp {
   Status StartLocked() REQUIRES(lifecycle_mu_);
 
   /// Crash/stop body; caller holds lifecycle_mu_. `is_crash` distinguishes
-  /// a simulated fault (bumps the crash generation and freezes a flight
-  /// recorder bundle) from a graceful Shutdown teardown.
+  /// a simulated fault (bumps the crash generation, freezes a flight
+  /// recorder bundle and keeps its CrashFacts for the next recovery) from a
+  /// graceful Shutdown teardown.
   void CrashLocked(bool is_crash) REQUIRES(lifecycle_mu_);
 
   /// Snapshot provider registered with the environment's flight recorder:
-  /// statusz + in-flight session set + log tail extent, captured at freeze
+  /// statusz + in-flight session set + durable log extent, captured at freeze
   /// time (i.e. from inside CrashLocked or an invariant violation hook).
   obs::FlightSnapshot BuildFlightSnapshot() const;
 
@@ -414,9 +416,9 @@ class Msp {
   /// (including lazy orphan recoveries) are appended as they finish.
   mutable audit::Mutex timeline_mu_{"msp.timeline"};
   obs::RecoveryTimeline last_recovery_timeline_ GUARDED_BY(timeline_mu_);
-  /// Crash generation whose flight bundle a recovery joined last, so a
-  /// graceful restart does not re-join a stale bundle.
-  uint64_t outage_joined_generation_ GUARDED_BY(timeline_mu_) = 0;
+  /// The last crash's facts, from the bundle it froze, until a recovery
+  /// joins them; a graceful restart finds none.
+  std::optional<obs::CrashFacts> crash_facts_ GUARDED_BY(timeline_mu_);
   /// Concurrent RecoverSessionReplay calls right now / high-water mark.
   std::atomic<uint32_t> active_replays_{0};
 

@@ -5,6 +5,7 @@
 #include "msp/recovery_coordinator.h"
 
 #include <algorithm>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -35,8 +36,14 @@ Status RecoveryCoordinator::RunAnalysis() {
   m->epoch_.store(old_epoch_ + 1);
   MSPLOG_RETURN_IF_ERROR(m->anchor_.Write({msp_cp_lsn_, m->epoch_.load()}));
 
+  // Outage observatory join: the facts the crash froze (Msp::CrashLocked)
+  // name the sessions that were in flight at the crash, and the session
+  // table rebuilt below says which of them left a durable trace. The
+  // record keeps these inputs; Outage() computes the fates.
+  std::optional<obs::CrashFacts> crash;
   {
     audit::LockGuard lk(m->timeline_mu_);
+    crash = m->crash_facts_;
     m->last_recovery_timeline_ = obs::RecoveryTimeline();
     m->last_recovery_timeline_.epoch = m->epoch_.load();
     m->last_recovery_timeline_.started_model_ms = t0;
@@ -83,15 +90,6 @@ Status RecoveryCoordinator::RunAnalysis() {
         if (rec.lsn % sector == 0) sector_frames.push_back(rec.lsn);
       }));
   m->log_->NoteFrameStarts(sector_frames);
-
-  // Outage observatory join (flight recorder × analysis scan): the frozen
-  // pre-crash bundle names the sessions that were in flight at the crash,
-  // and the session table rebuilt below says which of them left a durable
-  // trace. The record keeps these inputs; Outage() computes the fates.
-  const obs::FlightBundle bundle =
-      m->env_->flight_recorder().LatestBundleFor(m->config_.id);
-  const bool crashed =
-      bundle.frozen && bundle.generation == m->crash_generation_.load();
   std::vector<obs::RecoveryTimeline::InflightSession> inflight;
 
   // Sessions: an in-range end outdates what the MSP checkpoint knew of a
@@ -113,12 +111,9 @@ Status RecoveryCoordinator::RunAnalysis() {
     }
     for (auto& [id, s] : m->sessions_) s->recovering = true;
     sessions_to_recover_ = m->sessions_.size();
-    if (crashed) {
-      for (const auto& [who, snap] : bundle.snapshots) {
-        if (who != m->config_.id) continue;
-        for (const std::string& id : snap.inflight_sessions) {
-          inflight.push_back({id, m->sessions_.count(id) > 0});
-        }
+    if (crash) {
+      for (const std::string& id : crash->inflight_sessions) {
+        inflight.push_back({id, m->sessions_.count(id) > 0});
       }
     }
   }
@@ -178,11 +173,13 @@ Status RecoveryCoordinator::RunAnalysis() {
     m->last_recovery_timeline_.sessions_to_recover = sessions_to_recover_;
     m->last_recovery_timeline_.scan_start_lsn = min_lsn;
     m->last_recovery_timeline_.scan_end_lsn = durable;
-    // A graceful restart joins no bundle: its generation was joined.
-    if (crashed && bundle.generation > m->outage_joined_generation_) {
-      m->outage_joined_generation_ = bundle.generation;
-      m->last_recovery_timeline_.crash_generation = bundle.generation;
-      m->last_recovery_timeline_.crash_model_ms = bundle.frozen_at_ms;
+    // The join consumes the facts once the scan has succeeded (a Start()
+    // that failed before here is retried with them), so a later graceful
+    // restart joins none.
+    if (crash) {
+      m->crash_facts_.reset();
+      m->last_recovery_timeline_.crash_generation = crash->generation;
+      m->last_recovery_timeline_.crash_model_ms = crash->frozen_at_ms;
       m->last_recovery_timeline_.inflight = std::move(inflight);
     }
   }

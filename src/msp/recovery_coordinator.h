@@ -55,7 +55,7 @@ class RecoveryCoordinator {
   /// Phase 1 — the bounded analysis pass. On return every surviving session
   /// exists (marked recovering) with its replay positions reconstructed,
   /// shared variables are rolled forward, and the recovery record holds
-  /// its join with the flight recorder's frozen pre-crash bundle.
+  /// its join with the facts the crash froze (Msp::CrashLocked).
   Status RunAnalysis();
 
   /// Phase 2 — recovery broadcast + fresh MSP checkpoint (Fig. 12). After

@@ -1,7 +1,5 @@
 #include "obs/flight_recorder.h"
 
-#include <algorithm>
-
 #include "obs/json.h"
 
 namespace msplog {
@@ -15,6 +13,17 @@ thread_local bool tls_in_violation_freeze = false;
 
 }  // namespace
 
+std::optional<CrashFacts> FlightBundle::Facts() const {
+  if (trigger != "crash") return std::nullopt;
+  for (const auto& [who, snap] : snapshots) {
+    if (who == actor) {
+      return CrashFacts{generation, frozen_at_ms, snap.log_durable_lsn,
+                        snap.inflight_sessions};
+    }
+  }
+  return std::nullopt;
+}
+
 std::string FlightBundle::ToJson() const {
   JsonArray snaps;
   for (const auto& [who, snap] : snapshots) {
@@ -23,10 +32,7 @@ std::string FlightBundle::ToJson() const {
     // statusz is itself JSON — embed it raw so consumers get one tree.
     snaps.Push(Json()
                    .Add("actor", who)
-                   .Add("log_end_lsn", snap.log_end_lsn)
                    .Add("log_durable_lsn", snap.log_durable_lsn)
-                   .Add("log_reclaimed_lsn", snap.log_reclaimed_lsn)
-                   .Add("log_archived_lsn", snap.log_archived_lsn)
                    .Add("inflight_sessions", inflight)
                    .AddRaw("statusz", snap.statusz_json.empty()
                                           ? "null"
@@ -46,10 +52,8 @@ std::string FlightBundle::ToJson() const {
       .Str();
 }
 
-FlightRecorder::FlightRecorder(std::function<double()> now_ms,
-                               size_t max_bundles)
-    : now_ms_(std::move(now_ms)),
-      max_bundles_(std::max<size_t>(1, max_bundles)) {}
+FlightRecorder::FlightRecorder(std::function<double()> now_ms)
+    : now_ms_(std::move(now_ms)) {}
 
 void FlightRecorder::set_tracer_tail_dump(std::function<std::string()> dump) {
   audit::LockGuard lk(mu_);
@@ -103,7 +107,7 @@ FlightBundle FlightRecorder::Freeze(const std::string& actor,
   audit::LockGuard lk(mu_);
   bundles_.push_back(b);
   ++frozen_total_;
-  while (bundles_.size() > max_bundles_) bundles_.pop_front();
+  while (bundles_.size() > kMaxBundles) bundles_.pop_front();
   return b;
 }
 

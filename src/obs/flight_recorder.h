@@ -2,16 +2,17 @@
 //
 // At a simulated crash (Msp::Crash) or any audit invariant violation the
 // recorder *freezes* a generation-stamped snapshot bundle: per registered
-// server, a statusz JSON dump, the in-flight session set, and the log tail
-// extent (end/durable LSNs), plus the newest events of the environment's
+// server, a statusz JSON dump (log extents included), the in-flight session
+// set and the log's durable LSN, plus the newest events of the environment's
 // EventTracer and a summary of the locks held by the freezing thread. The
 // recorder keeps no event ring of its own: the tracer (obs/trace.h) is the
 // environment's single always-on ring, and a bundle freezes its tail.
-// Bundles are bounded (oldest evicted) and immutable. The recovery-side
-// join (msp/recovery_coordinator.cc) records the latest crash bundle in the
-// recovery's record, whose outage view (obs/recovery_timeline.h) it feeds,
-// and tools/msplog_postmortem re-derives the same view offline from a
-// dumped bundle plus the raw log image.
+// Bundles are bounded (oldest evicted) and immutable. A crashing server
+// keeps its own bundle's CrashFacts for the recovery-side join
+// (msp/recovery_coordinator.cc), which records them in the recovery's
+// record, whose outage view (obs/recovery_timeline.h) they feed; the
+// offline inspector (tools/msplog_inspect --bundle) re-derives the same
+// fates from a dumped bundle plus the raw log image.
 //
 // The recorder is owned by SimEnvironment, so its bundles survive Msp
 // crash/recovery cycles.
@@ -26,6 +27,7 @@
 #include <deque>
 #include <functional>
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -40,10 +42,19 @@ struct FlightSnapshot {
   /// Ids of sessions that were started but not ended when the snapshot was
   /// taken — the set the outage view must account for.
   std::vector<std::string> inflight_sessions;
-  uint64_t log_end_lsn = 0;        ///< log tail extent (bytes appended)
-  uint64_t log_durable_lsn = 0;    ///< durable prefix at the freeze
-  uint64_t log_reclaimed_lsn = 0;  ///< reclaimed (punched) prefix
-  uint64_t log_archived_lsn = 0;   ///< prefix preserved in archive segments
+  uint64_t log_durable_lsn = 0;  ///< durable prefix at the freeze
+};
+
+/// What a crash bundle says about its crashed server. Recovery's outage
+/// join and the offline inspector classify the in-flight sessions' fates
+/// from these.
+struct CrashFacts {
+  uint64_t generation = 0;
+  double frozen_at_ms = 0;
+  /// The log's durable extent at the crash: records at or past it were
+  /// written after the crash, by recovery.
+  uint64_t durable_lsn = 0;
+  std::vector<std::string> inflight_sessions;
 };
 
 /// One frozen black-box bundle. Immutable once created.
@@ -60,16 +71,21 @@ struct FlightBundle {
   /// every registered server on an invariant freeze.
   std::vector<std::pair<std::string, FlightSnapshot>> snapshots;
 
+  /// The crashed server's facts; nullopt unless this crash bundle holds
+  /// that server's snapshot.
+  std::optional<CrashFacts> Facts() const;
   std::string ToJson() const;
 };
 
 class FlightRecorder {
  public:
+  /// Frozen bundles retained (oldest evicted), across every server: a
+  /// forensic history, which recovery does not read.
+  static constexpr size_t kMaxBundles = 4;
+
   /// `now_ms` stamps each bundle (the environment passes NowModelMs);
-  /// it must be callable until the recorder is destroyed. At most
-  /// `max_bundles` frozen bundles are retained (oldest evicted).
-  explicit FlightRecorder(std::function<double()> now_ms,
-                          size_t max_bundles = 4);
+  /// it must be callable until the recorder is destroyed.
+  explicit FlightRecorder(std::function<double()> now_ms);
 
   // --- environment wiring (set once at construction time) -----------------
 
@@ -115,7 +131,6 @@ class FlightRecorder {
                       const std::string& trigger, const std::string& detail);
 
   std::function<double()> now_ms_;
-  const size_t max_bundles_;
 
   mutable audit::Mutex mu_{"obs.flight_recorder"};
   std::deque<FlightBundle> bundles_ GUARDED_BY(mu_);

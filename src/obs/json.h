@@ -1,9 +1,11 @@
-// Json / JsonArray — the one JSON writer of the tree.
+// Json / JsonArray — the one JSON writer of the tree — and ParseJson, its
+// one reader.
 //
 // Every machine-readable document msplog emits is built with these two
-// builders: statusz, flight bundles, recovery timelines, outage and
-// post-mortem reports, the offline inspector's report, tail blame, the
-// tracer dumps and the benches' BENCH_JSON lines. Escaping and number formatting therefore live in one place:
+// builders: statusz, flight bundles, recovery timelines, outage reports,
+// the offline inspector's report, tail blame, the tracer dumps and the
+// benches' BENCH_JSON lines. Escaping and number formatting therefore live
+// in one place:
 //
 //   * output is compact (no whitespace) and keeps insertion order;
 //   * strings go through JsonEscape (control characters become \u00XX);
@@ -13,12 +15,20 @@
 //
 // The writer has no options. AddRaw/PushRaw splice a value that is already
 // JSON — typically another document's ToJson() — without re-parsing it.
+//
+// ParseJson reads what the writer writes: msplog_inspect reads flight
+// bundles and outage reports with it, and the tests every dump.
 #pragma once
 
 #include <charconv>
 #include <concepts>
+#include <cstdint>
+#include <initializer_list>
+#include <optional>
 #include <string>
 #include <string_view>
+#include <utility>
+#include <vector>
 
 namespace msplog {
 namespace obs {
@@ -84,6 +94,32 @@ class JsonArray {
 
   std::string body_;  ///< elements, comma-separated, without the brackets
 };
+
+/// One node of a parsed document. A number keeps its literal, so an
+/// integer reads back exactly at any width.
+struct JsonValue {
+  enum class Kind { kNull, kBool, kNumber, kString, kArray, kObject };
+  Kind kind = Kind::kNull;
+  bool boolean = false;
+  std::string text;  ///< a string's decoded bytes, or a number's literal
+  std::vector<JsonValue> items;  ///< array elements
+  std::vector<std::pair<std::string, JsonValue>> members;  ///< in order
+
+  /// The value at `path`, each key a member of the previous object (the
+  /// first of that name); null when a key is missing.
+  const JsonValue* At(std::initializer_list<std::string_view> path) const;
+  /// A number written as plain digits, read exactly; nullopt otherwise.
+  std::optional<uint64_t> Uint() const;
+};
+
+/// Parse exactly one document, strictly: numbers are
+/// `-?digits(.digits)?([eE][+-]?digits)?` (no NaN or inf); strings hold no
+/// raw control character and only the escapes `\" \\ \/ \b \f \n \r \t
+/// \uXXXX`, each \u unit decoded to UTF-8 on its own; no trailing comma or
+/// byte; at most 256 levels of nesting.
+/// nullopt on any malformation; `error_at` then receives its byte offset.
+std::optional<JsonValue> ParseJson(std::string_view text,
+                                   size_t* error_at = nullptr);
 
 }  // namespace obs
 }  // namespace msplog

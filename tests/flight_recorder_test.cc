@@ -6,20 +6,21 @@
 // history across many cycles.
 //
 // The chaos test exports its frozen bundle, live outage report, and raw log
-// image (msplog_outage_*.{json,bin}) so CI can drive the msplog_postmortem
-// CLI over real artifacts.
+// image (msplog_outage_*.{json,bin}) so ctest can drive
+// `msplog_inspect --bundle --report` over real artifacts.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
 #include <fstream>
+#include <optional>
 #include <thread>
 #include <vector>
 
 #include "audit/invariants.h"
 #include "harness/paper_workload.h"
 #include "json_strict.h"
-#include "msp/postmortem.h"
+#include "msp/log_inspect.h"
 #include "obs/flight_recorder.h"
 #include "obs/trace.h"
 
@@ -66,7 +67,6 @@ TEST(FlightRecorderTest, FreezeOnCrashSnapshotsTheCrashedActorOnly) {
     obs::FlightSnapshot s;
     s.statusz_json = "{\"who\":\"m1\"}";
     s.inflight_sessions = {"sA", "sB"};
-    s.log_end_lsn = 100;
     s.log_durable_lsn = 80;
     return s;
   });
@@ -81,8 +81,12 @@ TEST(FlightRecorderTest, FreezeOnCrashSnapshotsTheCrashedActorOnly) {
   EXPECT_EQ(b.frozen_at_ms, 5.0);
   ASSERT_EQ(b.snapshots.size(), 1u);  // only the crashed actor
   EXPECT_EQ(b.snapshots[0].first, "m1");
-  EXPECT_EQ(b.snapshots[0].second.inflight_sessions.size(), 2u);
-  EXPECT_EQ(b.snapshots[0].second.log_durable_lsn, 80u);
+  // The crash facts come from the crashed actor's snapshot.
+  const std::optional<obs::CrashFacts> facts = b.Facts();
+  ASSERT_TRUE(facts.has_value());
+  EXPECT_EQ(facts->generation, 3u);
+  EXPECT_EQ(facts->durable_lsn, 80u);
+  EXPECT_EQ(facts->inflight_sessions, (std::vector<std::string>{"sA", "sB"}));
   EXPECT_EQ(fr.frozen_count(), 1u);
   // The same bundle is retrievable by actor.
   obs::FlightBundle again = fr.LatestBundleFor("m1");
@@ -99,17 +103,16 @@ TEST(FlightRecorderTest, FreezeOnCrashSnapshotsTheCrashedActorOnly) {
 
 TEST(FlightRecorderTest, BundleHistoryIsBounded) {
   double now = 0;
-  obs::FlightRecorder fr([&now] { return now; }, /*max_bundles=*/2);
-  for (uint64_t g = 1; g <= 5; ++g) {
+  obs::FlightRecorder fr([&now] { return now; });
+  for (uint64_t g = 1; g <= 6; ++g) {
     now = static_cast<double>(g);
     fr.FreezeOnCrash("m", g);
   }
   std::vector<obs::FlightBundle> bundles = fr.Bundles();
-  ASSERT_EQ(bundles.size(), 2u);
-  EXPECT_EQ(bundles[0].generation, 4u);
-  EXPECT_EQ(bundles[1].generation, 5u);
-  EXPECT_EQ(fr.frozen_count(), 5u);
-  EXPECT_EQ(fr.LatestBundleFor("m").generation, 5u);
+  ASSERT_EQ(bundles.size(), 4u);
+  for (uint64_t i = 0; i < 4; ++i) EXPECT_EQ(bundles[i].generation, i + 3);
+  EXPECT_EQ(fr.frozen_count(), 6u);
+  EXPECT_EQ(fr.LatestBundleFor("m").generation, 6u);
 }
 
 TEST(FlightRecorderTest, ViolationFreezeSnapshotsAllProviders) {
@@ -120,6 +123,7 @@ TEST(FlightRecorderTest, ViolationFreezeSnapshotsAllProviders) {
   fr.FreezeOnViolation("dv-monotonic", "went backwards");
   std::vector<obs::FlightBundle> bundles = fr.Bundles();
   ASSERT_EQ(bundles.size(), 1u);
+  EXPECT_FALSE(bundles[0].Facts().has_value());  // no crashed server
   EXPECT_EQ(bundles[0].trigger, "invariant:dv-monotonic");
   EXPECT_EQ(bundles[0].snapshots.size(), 2u);
   EXPECT_EQ(bundles[0].detail, "went backwards");
@@ -339,29 +343,21 @@ TEST(OutageObservatoryTest, ChaosCrashFatesAndMttrMatchGroundTruth) {
   EXPECT_LT(report.mttr.max_ms, r.elapsed_model_ms);
 
   // Offline cross-check: re-derive the fates from the raw log image alone
-  // (same inputs the msplog_postmortem CLI gets) and compare.
+  // (same inputs `msplog_inspect --bundle` gets) and compare.
   LogFile* log = w.msp2()->log();
   ASSERT_NE(log, nullptr);
-  PostmortemInput input;
-  input.actor = bundle.actor;
-  input.generation = bundle.generation;
-  input.crash_model_ms = bundle.frozen_at_ms;
-  input.durable_at_crash = snap.log_durable_lsn;
-  input.inflight_sessions = snap.inflight_sessions;
-  PostmortemReport offline;
-  ASSERT_TRUE(DerivePostmortem(log->disk(), log->file_name(), input, &offline)
-                  .ok());
-  ASSERT_EQ(offline.sessions.size(), report.sessions.size());
+  LogInspectOptions iopts;
+  iopts.crash = bundle.Facts();
+  LogInspectReport offline;
+  ASSERT_TRUE(
+      InspectLogImage(log->disk(), log->file_name(), iopts, &offline).ok());
+  EXPECT_TRUE(offline.invariant_violations.empty());
+  EXPECT_EQ(offline.FateMismatches(report), std::vector<std::string>());
   EXPECT_TRUE(JsonStrict(offline.ToJson()));
   EXPECT_TRUE(JsonStrict(report.ToJson()));
   EXPECT_TRUE(JsonStrict(bundle.ToJson()));
-  for (const auto& live : report.sessions) {
-    const PostmortemSessionFate* mine = offline.Find(live.session_id);
-    ASSERT_NE(mine, nullptr) << live.session_id;
-    EXPECT_EQ(mine->fate, live.fate) << live.session_id;
-  }
 
-  // Export the artifacts for the CI post-mortem step (CLI cross-check).
+  // Export the artifacts for the offline tool's cross-check ctests.
   {
     std::ofstream bf("msplog_outage_bundle.json", std::ios::binary);
     bf << bundle.ToJson() << "\n";
@@ -447,15 +443,12 @@ TEST(OutageObservatoryTest, CrashOnFirstRequestLeavesSessionNeverLogged) {
 
   // The offline derivation agrees: no durable trace below the crash point.
   LogFile* log = w.msp2()->log();
-  PostmortemInput input;
-  input.actor = bundle.actor;
-  input.durable_at_crash = snap.log_durable_lsn;
-  input.inflight_sessions = snap.inflight_sessions;
-  PostmortemReport offline;
-  ASSERT_TRUE(DerivePostmortem(log->disk(), log->file_name(), input, &offline)
-                  .ok());
-  ASSERT_EQ(offline.sessions.size(), 1u);
-  EXPECT_EQ(offline.sessions[0].fate, "never-logged");
+  LogInspectOptions iopts;
+  iopts.crash = bundle.Facts();
+  LogInspectReport offline;
+  ASSERT_TRUE(
+      InspectLogImage(log->disk(), log->file_name(), iopts, &offline).ok());
+  EXPECT_EQ(offline.FateMismatches(report), std::vector<std::string>());
   w.Shutdown();
 }
 

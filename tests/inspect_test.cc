@@ -3,7 +3,8 @@
 // checkpoint blob decodable, zero invariant violations — and a corrupted
 // copy of the same image is detected instead of silently accepted: a bad
 // frame with intact frames after it is mid-log corruption, one without is
-// a torn tail.
+// a torn tail. Given the crash's facts, the report names each in-flight
+// session's fate beside that verdict.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -181,10 +182,10 @@ TEST_F(InspectTest, MidLogFlipIsCorruptionNotTornTail) {
   image[lsns[mid] + 10] = static_cast<char>(image[lsns[mid] + 10] ^ 0x01);
   ASSERT_TRUE(disk_.WriteAt("flipped.log", 0, image).ok());
 
+  LogInspectOptions opts;  // the facts of the workload's crash
+  opts.crash = env_.flight_recorder().LatestBundleFor("m1").Facts();
   LogInspectReport report;
-  ASSERT_TRUE(
-      InspectLogImage(&disk_, "flipped.log", LogInspectOptions(), &report)
-          .ok());
+  ASSERT_TRUE(InspectLogImage(&disk_, "flipped.log", opts, &report).ok());
   EXPECT_EQ(report.records, mid);
   EXPECT_FALSE(report.torn_tail);
   EXPECT_EQ(report.corrupt_lsn, lsns[mid]);
@@ -194,6 +195,11 @@ TEST_F(InspectTest, MidLogFlipIsCorruptionNotTornTail) {
             std::string::npos);
   EXPECT_NE(report.Summary().find("corrupt at lsn"), std::string::npos);
   EXPECT_TRUE(JsonStrict(report.ToJson()));
+  // The fates come with the verdict: the session in flight at the crash
+  // has records before the flipped byte.
+  ASSERT_EQ(report.fates.size(), 1u);
+  EXPECT_EQ(report.fates[0].fate, "replayed");
+  EXPECT_NE(report.Summary().find(": replayed (first_lsn="), std::string::npos);
 }
 
 // An image that ends inside a frame — a write torn by a crash — is a torn
@@ -207,9 +213,10 @@ TEST_F(InspectTest, ImageCutMidFrameIsTornTail) {
   image.resize(lsns[mid] + 12);
   ASSERT_TRUE(disk_.WriteAt("cut.log", 0, image).ok());
 
+  LogInspectOptions opts;  // the facts of the workload's crash
+  opts.crash = env_.flight_recorder().LatestBundleFor("m1").Facts();
   LogInspectReport report;
-  ASSERT_TRUE(
-      InspectLogImage(&disk_, "cut.log", LogInspectOptions(), &report).ok());
+  ASSERT_TRUE(InspectLogImage(&disk_, "cut.log", opts, &report).ok());
   EXPECT_EQ(report.records, mid);
   EXPECT_TRUE(report.torn_tail);
   EXPECT_EQ(report.torn_tail_lsn, lsns[mid]);
@@ -217,6 +224,11 @@ TEST_F(InspectTest, ImageCutMidFrameIsTornTail) {
   for (const auto& v : report.invariant_violations) {
     ADD_FAILURE() << "invariant violation: " << v;
   }
+  ASSERT_EQ(report.fates.size(), 1u);
+  EXPECT_EQ(report.fates[0].fate, "replayed");
+  const std::string json = report.ToJson();
+  EXPECT_TRUE(JsonStrict(json));
+  EXPECT_NE(json.find("\"fates\":[{\"session\":"), std::string::npos);
 }
 
 TEST_F(InspectTest, StatsReconstructsPerSessionCountsFromTheImage) {

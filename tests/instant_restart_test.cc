@@ -18,7 +18,6 @@
 #include "log/log_file.h"
 #include "msp/log_inspect.h"
 #include "msp/msp.h"
-#include "msp/postmortem.h"
 #include "msp/service_domain.h"
 #include "rpc/client_endpoint.h"
 #include "sim/sim_disk.h"
@@ -187,30 +186,19 @@ TEST_F(InstantRestartTest, RecrashDuringIncrementalRecovery) {
   }
   EXPECT_EQ(report.mttr.count, 5u);
 
-  // Offline cross-check (the msplog_postmortem --report contract): re-derive
+  // Offline cross-check (the `msplog_inspect --report` contract): re-derive
   // every fate from the frozen flight bundle + raw log image alone. The
   // re-crash-during-recovery log must tell the same story as the live join.
   const obs::FlightBundle bundle =
       env_.flight_recorder().LatestBundleFor("alpha");
   ASSERT_TRUE(bundle.frozen);
   EXPECT_EQ(bundle.generation, 2u);  // the mid-drain crash
-  ASSERT_FALSE(bundle.snapshots.empty());
-  const obs::FlightSnapshot& snap = bundle.snapshots.back().second;
-  PostmortemInput input;
-  input.actor = bundle.actor;
-  input.generation = bundle.generation;
-  input.crash_model_ms = bundle.frozen_at_ms;
-  input.durable_at_crash = snap.log_durable_lsn;
-  input.inflight_sessions = snap.inflight_sessions;
-  PostmortemReport offline;
+  LogInspectOptions opts;
+  opts.crash = bundle.Facts();
+  LogInspectReport offline;
   ASSERT_TRUE(
-      DerivePostmortem(&disk_, msp_->log()->file_name(), input, &offline)
-          .ok());
-  for (const auto& live : report.sessions) {
-    const PostmortemSessionFate* mine = offline.Find(live.session_id);
-    ASSERT_NE(mine, nullptr) << live.session_id;
-    EXPECT_EQ(mine->fate, live.fate) << live.session_id;
-  }
+      InspectLogImage(&disk_, msp_->log()->file_name(), opts, &offline).ok());
+  EXPECT_EQ(offline.FateMismatches(report), std::vector<std::string>());
   EXPECT_EQ(audit::InvariantRegistry::Instance().total_violations(), 0u);
 }
 
@@ -413,13 +401,11 @@ TEST_F(InstantRestartTest, ArchivedSegmentsMergeIntoCleanImage) {
   // The punched live image alone: no live session was cut — its first
   // surviving record sits at or before the newest MSP checkpoint's
   // min-recovery LSN (that check is one of the walked invariants).
-  SimEnvironment ienv(0.0);
-  SimDisk idisk(&ienv, "inspect");
-  idisk.set_charge_latency(false);
-  ASSERT_TRUE(idisk.WriteAt("live.log", 0, live).ok());
+  // Inspected as copies, which the running server cannot append to.
+  ASSERT_TRUE(disk_.WriteAt("live.log", 0, live).ok());
   LogInspectOptions opts;
   LogInspectReport live_report;
-  ASSERT_TRUE(InspectLogImage(&idisk, "live.log", opts, &live_report).ok());
+  ASSERT_TRUE(InspectLogImage(&disk_, "live.log", opts, &live_report).ok());
   for (const auto& v : live_report.invariant_violations) {
     ADD_FAILURE() << "live image violation: " << v;
   }
@@ -429,15 +415,15 @@ TEST_F(InstantRestartTest, ArchivedSegmentsMergeIntoCleanImage) {
   // Overlay the archived segments at their original offsets: the merged
   // image holds the full history from (near) LSN zero and still passes
   // every invariant.
-  ASSERT_TRUE(idisk.WriteAt("merged.log", 0, live).ok());
+  ASSERT_TRUE(disk_.WriteAt("merged.log", 0, live).ok());
   for (const LogArchiveSegment& seg : segments) {
     Bytes seg_bytes;
     ASSERT_TRUE(disk_.ReadAt(seg.file, 0, seg.bytes, &seg_bytes).ok());
-    ASSERT_TRUE(idisk.WriteAt("merged.log", seg.base, seg_bytes).ok());
+    ASSERT_TRUE(disk_.WriteAt("merged.log", seg.base, seg_bytes).ok());
   }
   LogInspectReport merged_report;
   ASSERT_TRUE(
-      InspectLogImage(&idisk, "merged.log", opts, &merged_report).ok());
+      InspectLogImage(&disk_, "merged.log", opts, &merged_report).ok());
   for (const auto& v : merged_report.invariant_violations) {
     ADD_FAILURE() << "merged image violation: " << v;
   }

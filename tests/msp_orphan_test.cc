@@ -9,8 +9,8 @@
 #include <thread>
 
 #include "log/log_scanner.h"
+#include "msp/log_inspect.h"
 #include "msp/msp.h"
-#include "msp/postmortem.h"
 #include "msp/service_domain.h"
 #include "rpc/client_endpoint.h"
 #include "sim/sim_disk.h"
@@ -278,17 +278,33 @@ TEST_F(OrphanTest, CallerCrashReplayCutsOrphanAndRecordsOrphanedFate) {
   const obs::FlightBundle bundle =
       env_.flight_recorder().LatestBundleFor("alpha");
   ASSERT_TRUE(bundle.frozen);
-  ASSERT_EQ(bundle.snapshots.size(), 1u);
-  const obs::FlightSnapshot& snap = bundle.snapshots[0].second;
-  PostmortemInput input;
-  input.actor = bundle.actor;
-  input.durable_at_crash = snap.log_durable_lsn;
-  input.inflight_sessions = snap.inflight_sessions;
-  PostmortemReport offline;
-  ASSERT_TRUE(DerivePostmortem(&disk_a_, "alpha.log", input, &offline).ok());
-  const PostmortemSessionFate* f = offline.Find(id);
-  ASSERT_NE(f, nullptr);
-  EXPECT_EQ(f->fate, "orphaned");
+  LogInspectOptions opts;
+  opts.crash = bundle.Facts();
+  LogInspectReport offline;
+  ASSERT_TRUE(InspectLogImage(&disk_a_, "alpha.log", opts, &offline).ok());
+  EXPECT_EQ(offline.FateMismatches(view), std::vector<std::string>());
+}
+
+// The outage view keeps its crash however many bundles freeze before the
+// restart: the flight recorder's history is bounded and shared, so alpha's
+// bundle is evicted by beta's crashes, but alpha kept the facts itself.
+TEST_F(OrphanTest, OutageJoinSurvivesBundleEvictionBeforeRestart) {
+  ClientEndpoint client(&env_, &net_, "cli");
+  auto session = client.StartSession("alpha");
+  Bytes reply;
+  ASSERT_TRUE(client.Call(&session, "relay_count", "", &reply).ok());
+  alpha_->Crash();
+  for (size_t k = 0; k < obs::FlightRecorder::kMaxBundles; ++k) {
+    CrashAndRestartBeta();
+  }
+  ASSERT_FALSE(env_.flight_recorder().LatestBundleFor("alpha").frozen);
+  ASSERT_TRUE(alpha_->Start().ok());
+
+  const obs::RecoveryTimeline tl = alpha_->LastRecoveryTimeline();
+  EXPECT_EQ(tl.crash_generation, 1u);
+  ASSERT_EQ(tl.inflight.size(), 1u);
+  EXPECT_EQ(tl.inflight[0].session_id, session.session_id);
+  EXPECT_TRUE(tl.Outage().valid);
 }
 
 TEST_F(OrphanTest, RepeatedCalleeCrashesDisjointOrphanRecoveries) {

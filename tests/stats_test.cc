@@ -8,6 +8,7 @@
 #include <chrono>
 #include <functional>
 #include <limits>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -782,6 +783,16 @@ TEST(JsonWriterTest, CompactInsertionOrderedOutput) {
   EXPECT_TRUE(JsonStrict(got));
   EXPECT_EQ(obs::JsonArray().Str(), "[]");
   EXPECT_EQ(obs::Json().Str(), "{}");
+
+  // The reader gives the values back: integers exactly, members by path.
+  const std::optional<obs::JsonValue> v = obs::ParseJson(got);
+  ASSERT_TRUE(v.has_value());
+  EXPECT_EQ(v->At({"u"})->Uint(), uint64_t{18446744073709551615u});
+  EXPECT_FALSE(v->At({"i"})->Uint().has_value());  // negative
+  EXPECT_FALSE(v->At({"d"})->Uint().has_value());  // not an integer
+  EXPECT_EQ(v->At({"arr"})->items[1].text, "x");
+  EXPECT_EQ(v->At({"raw", "k"})->kind, obs::JsonValue::Kind::kNull);
+  EXPECT_EQ(v->At({"raw", "missing"}), nullptr);
 }
 
 TEST(JsonWriterTest, DoublesRoundTripAndNonFiniteBecomesNull) {
@@ -815,6 +826,19 @@ TEST(JsonWriterTest, ControlCharactersInStringsAreEscaped) {
   EXPECT_NE(doc.find("\\u0001"), std::string::npos);
   EXPECT_NE(doc.find("\\u001f"), std::string::npos);
   EXPECT_EQ(obs::JsonEscape("a\"b"), "a\\\"b");
+  // The reader decodes every escape back to the same bytes, and \u units
+  // past ASCII to UTF-8.
+  EXPECT_EQ(obs::ParseJson(doc)->At({nasty})->text, nasty);
+  EXPECT_EQ(obs::ParseJson("[\"\\u00e9\\u20ac\"]")->items[0].text,
+            "\xc3\xa9\xe2\x82\xac");
+}
+
+// The reader bounds nesting at 256 levels, so no document can exhaust the
+// stack of the tool that reads it.
+TEST(JsonReaderTest, NestingIsBounded) {
+  const std::string deep = std::string(256, '[') + "0" + std::string(256, ']');
+  EXPECT_TRUE(obs::ParseJson(deep).has_value());
+  EXPECT_FALSE(obs::ParseJson("[" + deep + "]").has_value());
 }
 
 TEST_F(StatsTest, StatuszTraceAndRecoveryDumpsParseStrictly) {
